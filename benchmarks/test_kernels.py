@@ -10,7 +10,7 @@ column instead of a per-block/per-miniblock word gather).
 This bench pins the combined win against a faithful inline reproduction
 of the pre-backend decode loop — per-unique-bitwidth fancy-index gather
 plus the reference NumPy phase-loop unpack, exactly what
-``_decode_block_indices`` / ``unpack_block_indices`` did before the
+GPU-BP's block unpack and ``unpack_block_indices`` did before the
 backend layer existed — and re-runs the streaming headline with fused
 decode+filter engaged, emitting ``BENCH_kernels.json``.
 

@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.core.nvcomp import decompress_nvcomp
 from repro.core.planner import decompress_planned
+from repro.core.random_access import gather
 from repro.core.tile_decompress import decompress
 from repro.formats import kernels
 from repro.formats.base import (
@@ -100,6 +101,32 @@ class QueryResult:
         if scale <= 0:
             raise ValueError(f"scale must be positive, got {scale}")
         return (self.simulated_ms - self.launch_overhead_ms) * scale + self.launch_overhead_ms
+
+
+def codec_tile_activity(
+    tile_active: np.ndarray, elems: int, n_codec: int, lead: int = 0
+) -> np.ndarray:
+    """Map engine-tile activity onto ``n_codec`` consecutive codec tiles.
+
+    ``tile_active[i]`` is the engine tile ``lead + i`` engine tiles past
+    the start of the first codec tile (``lead`` is non-zero only when a
+    codec tile of ``elems`` rows spans several engine tiles and begins
+    before ``tile_active`` does).  A codec tile is active when any engine
+    tile it overlaps is; codec tiles past ``tile_active`` are inactive.
+    """
+    if TILE % elems == 0:
+        per_codec = np.repeat(tile_active, TILE // elems)[:n_codec]
+        out = np.zeros(n_codec, dtype=bool)
+        out[: per_codec.size] = per_codec
+        return out
+    if elems % TILE == 0:
+        factor = elems // TILE
+        padded = np.zeros(n_codec * factor, dtype=bool)
+        padded[lead : lead + tile_active.size] = tile_active
+        return padded.reshape(n_codec, factor).any(axis=1)
+    raise ValueError(
+        f"codec tile of {elems} rows does not divide the engine tile of {TILE}"
+    )
 
 
 class CrystalEngine:
@@ -321,10 +348,12 @@ class CrystalEngine:
         codec = get_codec(col.codec_name)
         assert isinstance(codec, TileCodec)
         enc = col.payload
-        idx = self._active_codec_tiles(codec, enc, tile_active)
+        elems = codec.tile_elements(enc)
+        idx = np.flatnonzero(
+            codec_tile_activity(tile_active, elems, codec.num_tiles(enc))
+        )
         out = np.zeros(enc.count, dtype=enc.dtype)
         if idx.size:
-            elems = codec.tile_elements(enc)
             with corruption_guard(name):
                 vals = codec.decode_tiles(enc, idx)
             lens = np.minimum((idx + 1) * elems, enc.count) - idx * elems
@@ -383,11 +412,13 @@ class CrystalEngine:
         tile_active = np.asarray(tile_active, dtype=bool)
         codec = get_codec(col.codec_name)
         assert isinstance(codec, TileCodec)
-        idx = self._active_codec_tiles(codec, enc, tile_active)
+        elems = codec.tile_elements(enc)
+        idx = np.flatnonzero(
+            codec_tile_activity(tile_active, elems, codec.num_tiles(enc))
+        )
         out = np.zeros(enc.count, dtype=np.int64)
         rowmask = np.zeros(enc.count, dtype=np.bool_)
         if idx.size:
-            elems = codec.tile_elements(enc)
             cap = idx.size * elems
             vals = np.empty(cap, dtype=np.int64)
             vmask = np.empty(cap, dtype=np.bool_)
@@ -401,31 +432,6 @@ class CrystalEngine:
             rowmask[pos] = vmask[:written]
             self.count_fused_kernel(written)
         return out, rowmask
-
-    def _active_codec_tiles(
-        self, codec: TileCodec, enc, tile_active: np.ndarray
-    ) -> np.ndarray:
-        """Map an engine-tile activity mask to surviving codec tiles."""
-        n_codec = codec.num_tiles(enc)
-        elems = codec.tile_elements(enc)
-        if elems == TILE:
-            mask = tile_active[:n_codec]
-        elif TILE % elems == 0:
-            factor = TILE // elems
-            mask = np.repeat(tile_active, factor)[:n_codec]
-        elif elems % TILE == 0:
-            # One codec tile spans several engine tiles: decode it if any
-            # of them survived.
-            factor = elems // TILE
-            padded = np.zeros(n_codec * factor, dtype=bool)
-            padded[: tile_active.size] = tile_active
-            mask = padded.reshape(n_codec, factor).any(axis=1)
-        else:
-            raise ValueError(
-                f"codec tile of {elems} rows does not divide the engine "
-                f"tile of {TILE}"
-            )
-        return np.flatnonzero(mask)
 
     def column_tile_bounds(self, name: str) -> tuple[np.ndarray, np.ndarray]:
         """Conservative per-engine-tile value bounds for a fact column.
@@ -697,6 +703,34 @@ class CrystalEngine:
             k.write_scatter(keys.size, 4, lookup.nbytes)
             k.compute(keys.size * 4)
         return lookup
+
+    def lookup_values(self, col: StoredColumn, indices: np.ndarray) -> np.ndarray:
+        """Fetch ``indices`` of one column, priced on this engine's device.
+
+        The one point-lookup routine of every serving shape.  It branches
+        on the caller's ``col`` snapshot only: re-probing the store
+        mid-lookup could observe the other side of a racing tier swap and
+        pair the wrong payload with the verdict.  A hot column's pinned
+        decoded image serves the batch as a plain coalesced gather (no
+        per-tile decode); an inline tile-encoded column decodes only the
+        tiles the indices touch; a cold column first pays the unspill +
+        cascade decode prologue (entropy-coded payloads have no random
+        access), and then, like an uncompressed column, each index pulls
+        one coalesced element.
+        """
+        source = self.pinned_decoded(col.name)
+        if source is None:
+            if self.inline_column(col):
+                return gather(col.payload, indices, self.device).values
+            if col.tier == "cold":
+                self.decompress_first((col.name,))
+            source = col.values
+        with self.device.launch(
+            f"lookup-{col.name}", grid_blocks=max(1, indices.size // 128)
+        ) as k:
+            k.read_gather(indices.size, 4, source.size * 4)
+            k.compute(indices.size)
+        return np.asarray(source)[indices]
 
     # -- fact pipeline --------------------------------------------------------
 

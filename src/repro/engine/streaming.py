@@ -47,6 +47,7 @@ from repro.engine.crystal import (
     CrystalEngine,
     FactPipeline,
     SSBQuery,
+    codec_tile_activity,
 )
 from repro.engine.lookup import Lookup
 from repro.engine.predicates import (
@@ -536,8 +537,9 @@ class TileStreamExecutor:
             with corruption_guard(name):
                 self._decode_chunk(
                     codec, enc, c0, c1, elems, view,
-                    self._codec_tile_activity(
-                        tile_active, elems, c0, c1, morsel.tile_lo
+                    codec_tile_activity(
+                        tile_active, elems, c1 - c0,
+                        lead=(morsel.tile_lo * TILE - c0 * elems) // TILE,
                     ),
                     predicate,
                     None if mask_buf is None else mask_buf[:cap],
@@ -594,36 +596,6 @@ class TileStreamExecutor:
                     mview[lo * elems :],
                 )
         self.engine.count_fused_kernel(fused_rows)
-
-    def _codec_tile_activity(
-        self,
-        tile_active: np.ndarray,
-        elems: int,
-        c0: int,
-        c1: int,
-        tile_lo: int,
-    ) -> np.ndarray:
-        """Morsel-local engine-tile activity mapped onto codec tiles [c0, c1)."""
-        n_local = c1 - c0
-        if elems == TILE:
-            out = np.zeros(n_local, dtype=bool)
-            n = min(n_local, tile_active.size)
-            out[:n] = tile_active[:n]
-            return out
-        if TILE % elems == 0:
-            factor = TILE // elems
-            return np.repeat(tile_active, factor)[:n_local]
-        if elems % TILE == 0:
-            # A codec tile spans several engine tiles and may start
-            # before the morsel; pad to the codec grid and reduce.
-            factor = elems // TILE
-            padded = np.zeros(n_local * factor, dtype=bool)
-            off = tile_lo - c0 * factor
-            padded[off : off + tile_active.size] = tile_active
-            return padded.reshape(n_local, factor).any(axis=1)
-        raise ValueError(
-            f"codec tile of {elems} rows does not divide the engine tile of {TILE}"
-        )
 
     # -- orchestration ------------------------------------------------------
 

@@ -362,7 +362,7 @@ def clamp_interval(lo: int, hi: int, bound: int = 2**34) -> tuple[int, int]:
 def compact_tile_chunks_inplace(
     out: np.ndarray, chunk_lens: np.ndarray, keep_lens: np.ndarray
 ) -> int:
-    """In-place counterpart of :func:`trim_tile_chunks` for out-buffer decode.
+    """Drop each tile chunk's padding from an out-buffer decode, in place.
 
     ``out[:sum(chunk_lens)]`` holds concatenated block-padded tile chunks;
     on return ``out[:kept]`` holds each tile's first ``keep_lens[i]``
@@ -375,6 +375,10 @@ def compact_tile_chunks_inplace(
     keep_lens = np.asarray(keep_lens, dtype=np.int64)
     total = int(chunk_lens.sum())
     kept = int(keep_lens.sum())
+    if total > out.size or kept > total:
+        raise ValueError(
+            f"cannot keep {kept} of {total} decoded values in a buffer of {out.size}"
+        )
     if kept == total:
         return kept
     if np.array_equal(chunk_lens[:-1], keep_lens[:-1]):
@@ -452,31 +456,19 @@ class DecodeArena:
         self.trim(0)
 
 
-def trim_tile_chunks(
-    values: np.ndarray, chunk_lens: np.ndarray, keep_lens: np.ndarray
-) -> np.ndarray:
-    """Keep the first ``keep_lens[i]`` elements of each concatenated chunk.
-
-    ``values`` is the concatenation of per-tile decoded chunks of
-    ``chunk_lens[i]`` elements (block-padded); the survivors are each
-    tile's logical elements, with the final tile's padding dropped.
-    """
-    chunk_lens = np.asarray(chunk_lens, dtype=np.int64)
-    keep_lens = np.asarray(keep_lens, dtype=np.int64)
-    if int(chunk_lens.sum()) != values.size:
-        raise ValueError("chunk lengths do not cover the decoded values")
-    if np.array_equal(chunk_lens, keep_lens):
-        return values  # nothing to trim (whole-tile chunks, full last tile)
-    within = ragged_arange(chunk_lens)
-    return values[within < np.repeat(keep_lens, chunk_lens)]
-
-
 class TileCodec(ColumnCodec):
     """A codec with the two tile properties of Section 3.
 
     Tiles are groups of ``d_blocks`` format blocks; a tile is decoded
     entirely in shared memory by one thread block, optionally inline with
     query execution.
+
+    **One decode routine per codec:** a subclass implements the batched
+    :meth:`decode_tiles_into` (plus, optionally, a fused
+    :meth:`decode_filter_tiles_into`); ``decode``, ``decode_tile``,
+    ``decode_tiles``, ``decode_range`` and ``decode_range_into`` are
+    defined once here on top of it, so every entry point shares one set
+    of validation, bounds and checksum checks.
 
     **Empty-column contract:** an empty column encodes to zero tiles
     (``num_tiles == 0``), decodes back to an empty array of the original
@@ -502,24 +494,16 @@ class TileCodec(ColumnCodec):
         per_tile = self.tile_elements(enc)
         return -(-enc.count // per_tile)
 
-    def check_tile_index(self, enc: EncodedColumn, tile_idx: int) -> None:
-        """Raise :class:`IndexError` unless ``0 <= tile_idx < num_tiles``.
-
-        The shared bounds check of the tile contract: every codec raises
-        the same error for out-of-range tiles, and an empty column
-        (zero tiles) rejects *every* index instead of crashing somewhere
-        deeper in the decoder.
-        """
-        n_tiles = self.num_tiles(enc)
-        if not 0 <= tile_idx < n_tiles:
-            raise IndexError(
-                f"tile {tile_idx} out of range for column with {n_tiles} tiles"
-            )
-
     def _validate_tile_indices(
         self, enc: EncodedColumn, tile_indices: np.ndarray
     ) -> np.ndarray:
-        """Normalize and bounds-check a batch of tile indices."""
+        """Normalize and bounds-check a batch of tile indices.
+
+        The shared bounds check of the tile contract: every codec raises
+        the same :class:`IndexError` for out-of-range tiles, and an empty
+        column (zero tiles) rejects *every* index instead of crashing
+        somewhere deeper in the decoder.
+        """
         tiles = np.atleast_1d(np.asarray(tile_indices, dtype=np.int64))
         if tiles.ndim != 1:
             raise ValueError("tile_indices must be one-dimensional")
@@ -642,87 +626,80 @@ class TileCodec(ColumnCodec):
             if seen is not None:
                 seen[t] = True
 
-    @abc.abstractmethod
-    def decode_tile(self, enc: EncodedColumn, tile_idx: int) -> np.ndarray:
-        """Decode one tile's values (the device-function equivalent).
-
-        The last tile may be shorter than :meth:`tile_elements`.
-        """
-
-    def decode_tiles(self, enc: EncodedColumn, tile_indices: np.ndarray) -> np.ndarray:
-        """Decode a batch of tiles and concatenate their values.
-
-        The batched counterpart of :meth:`decode_tile` — one grid launch
-        over many thread blocks rather than one block at a time.  Tiles
-        are decoded in the order given; indices may repeat.  The base
-        implementation loops; the GPU-* codecs override it with a single
-        vectorized pass over the whole batch.
-
-        Args:
-            enc: the compressed column.
-            tile_indices: tile numbers to decode, each in
-                ``[0, num_tiles)``.  An empty batch decodes to an empty
-                array.
-
-        Returns:
-            The tiles' values concatenated, in the column's dtype.
-        """
-        tiles = self._validate_tile_indices(enc, tile_indices)
-        if tiles.size == 0:
-            return np.zeros(0, dtype=enc.dtype)
-        return np.concatenate([self.decode_tile(enc, int(t)) for t in tiles])
-
-    def decode_range(
+    def _check_tile_range(
         self, enc: EncodedColumn, first_tile: int, last_tile: int
-    ) -> np.ndarray:
-        """Decode the contiguous tile range ``[first_tile, last_tile)``.
-
-        Args:
-            enc: the compressed column.
-            first_tile: first tile to decode (inclusive).
-            last_tile: one past the last tile to decode; must satisfy
-                ``0 <= first_tile <= last_tile <= num_tiles``.
-
-        Returns:
-            The range's values concatenated, in the column's dtype.
-        """
+    ) -> None:
+        """Raise :class:`IndexError` unless ``0 <= first <= last <= num_tiles``."""
         n_tiles = self.num_tiles(enc)
         if not 0 <= first_tile <= last_tile <= n_tiles:
             raise IndexError(
                 f"tile range [{first_tile}, {last_tile}) out of range for "
                 f"column with {n_tiles} tiles"
             )
-        return self.decode_tiles(enc, np.arange(first_tile, last_tile))
 
+    @abc.abstractmethod
     def decode_tiles_into(
         self, enc: EncodedColumn, tile_indices: np.ndarray, out: np.ndarray
     ) -> int:
         """Decode a batch of tiles into a caller-provided scratch buffer.
 
-        The allocation-free counterpart of :meth:`decode_tiles`, built for
-        the streaming executor's per-worker :class:`DecodeArena`: values
-        land in ``out`` (always as ``int64``, the engine's working dtype)
-        and the codec allocates no output of its own.  ``out`` must be a
-        1-D contiguous int64 buffer with capacity for the *padded* batch,
+        The codec's one decode routine (the paper's tile-in/tile-out
+        device function, launched over a grid of tiles); every other
+        decode entry point is derived from it.  Values land in ``out``
+        (always as ``int64``, the engine's working dtype) and the codec
+        allocates no output of its own.  ``out`` must be a 1-D
+        contiguous int64 buffer with capacity for the *padded* batch,
         ``tile_indices.size * tile_elements(enc)`` — vectorized decoders
         write whole block-padded tiles before compacting in place.
 
+        Implementations bounds-check the indices
+        (:meth:`_validate_tile_indices`), check the buffer
+        (:func:`require_out_buffer`), run :meth:`validate_for_decode`
+        before touching the payload, and verify the decoded values with
+        :meth:`verify_decoded_tiles`.
+
         Args:
             enc: the compressed column.
-            tile_indices: tile numbers to decode, each in ``[0, num_tiles)``.
+            tile_indices: tile numbers to decode, each in
+                ``[0, num_tiles)``; any order, repeats allowed.  An empty
+                batch writes nothing.
             out: scratch buffer (see :func:`require_out_buffer`).
 
         Returns:
             Number of logical values written; ``out[:written]`` holds the
             tiles' values concatenated in the order given.
         """
-        tiles = self._validate_tile_indices(enc, tile_indices)
-        require_out_buffer(out, tiles.size * self.tile_elements(enc))
-        if tiles.size == 0:
-            return 0
-        values = self.decode_tiles(enc, tiles)
-        out[: values.size] = values
-        return int(values.size)
+
+    def decode(self, enc: EncodedColumn) -> np.ndarray:
+        """Decompress the full column: one batched decode of every tile."""
+        self.validate_for_decode(enc)
+        return self.decode_range(enc, 0, self.num_tiles(enc))
+
+    def decode_tile(self, enc: EncodedColumn, tile_idx: int) -> np.ndarray:
+        """Decode one tile's values; the last tile may be short."""
+        return self.decode_tiles(enc, np.array([tile_idx], dtype=np.int64))
+
+    def decode_tiles(self, enc: EncodedColumn, tile_indices: np.ndarray) -> np.ndarray:
+        """Decode a batch of tiles and concatenate their values.
+
+        The allocating form of :meth:`decode_tiles_into`: same indices
+        contract, values returned in the column's dtype.
+        """
+        tiles = np.atleast_1d(np.asarray(tile_indices, dtype=np.int64))
+        out = np.empty(tiles.size * self.tile_elements(enc), dtype=np.int64)
+        written = self.decode_tiles_into(enc, tiles, out)  # validates tiles
+        return out[:written].astype(enc.dtype, copy=False)
+
+    def decode_range(
+        self, enc: EncodedColumn, first_tile: int, last_tile: int
+    ) -> np.ndarray:
+        """Decode the contiguous tile range ``[first_tile, last_tile)``.
+
+        ``0 <= first_tile <= last_tile <= num_tiles`` must hold; the
+        values come back concatenated, in the column's dtype.
+        """
+        self._check_tile_range(enc, first_tile, last_tile)
+        return self.decode_tiles(enc, np.arange(first_tile, last_tile))
 
     def decode_range_into(
         self, enc: EncodedColumn, first_tile: int, last_tile: int, out: np.ndarray
@@ -732,15 +709,8 @@ class TileCodec(ColumnCodec):
         Range counterpart of :meth:`decode_tiles_into`, with the same
         buffer contract; returns the number of values written.
         """
-        n_tiles = self.num_tiles(enc)
-        if not 0 <= first_tile <= last_tile <= n_tiles:
-            raise IndexError(
-                f"tile range [{first_tile}, {last_tile}) out of range for "
-                f"column with {n_tiles} tiles"
-            )
-        return self.decode_tiles_into(
-            enc, np.arange(first_tile, last_tile), out
-        )
+        self._check_tile_range(enc, first_tile, last_tile)
+        return self.decode_tiles_into(enc, np.arange(first_tile, last_tile), out)
 
     def decode_filter_tiles_into(
         self,

@@ -28,12 +28,54 @@ from repro.formats.base import (
     ragged_arange,
     require_mask_buffer,
     require_out_buffer,
-    trim_tile_chunks,
 )
 from repro.formats.gpufor import BLOCK, bit_length
 
 #: Words of per-block metadata (just the bitwidth word).
 _HEADER_WORDS = 1
+
+
+def _unpack_blocks(
+    data: np.ndarray,
+    bstarts: np.ndarray,
+    bits: np.ndarray,
+    decoded: np.ndarray,
+    active: np.ndarray | None = None,
+) -> None:
+    """Unpack GPU-BP blocks into the rows of ``decoded``, one pass per bitwidth.
+
+    ``bstarts`` / ``bits`` are the selected blocks' word offsets and
+    header bitwidths, in output order.  Blocks flagged False in
+    ``active`` are zero-filled instead of unpacked (the fused filter's
+    header-bound skip).
+    """
+    n = bstarts.size
+    if active is None or bool(active.all()):
+        # Regular-geometry fast path: one shared bitwidth over physically
+        # consecutive blocks means equal payloads at a constant stride —
+        # one contiguous unpack instead of a per-block word gather.
+        b0 = int(bits[0])
+        if b0 and bool((bits == b0).all()):
+            payload = b0 * BLOCK // 32
+            stride = payload + _HEADER_WORDS
+            if n == 1 or bool((np.diff(bstarts) == stride).all()):
+                bitio.unpack_bits_strided_into(
+                    data, int(bstarts[0]) + _HEADER_WORDS, n,
+                    payload, stride, BLOCK, b0, decoded.reshape(-1),
+                )
+                return
+        active = np.ones(n, dtype=bool)
+    decoded[~active] = 0
+    for b in np.unique(bits[active]):
+        sel = np.flatnonzero(active & (bits == b))
+        if b == 0:
+            decoded[sel] = 0
+            continue
+        words_per = int(b) * BLOCK // 32
+        src = (bstarts[sel] + _HEADER_WORDS)[:, None] + np.arange(words_per)
+        words = data[src.reshape(-1)]
+        vals = bitio.unpack_bits(words, sel.size * BLOCK, int(b))
+        decoded[sel] = vals.reshape(sel.size, BLOCK)
 
 
 class GpuBp(TileCodec):
@@ -105,14 +147,6 @@ class GpuBp(TileCodec):
         self.attach_tile_checksums(enc, v[:n])
         return enc
 
-    def decode(self, enc: EncodedColumn) -> np.ndarray:
-        self.validate_for_decode(enc)
-        n_blocks = enc.arrays["block_starts"].size - 1
-        out = self._decode_blocks(enc, 0, n_blocks)
-        vals = out[: enc.count]
-        self.verify_decoded_tiles(enc, np.arange(self.num_tiles(enc)), vals)
-        return vals.astype(enc.dtype)
-
     def cascade_passes(self, enc: EncodedColumn) -> list[CascadePass]:
         starts, lengths = self.tile_segments(enc)
         return [
@@ -127,52 +161,66 @@ class GpuBp(TileCodec):
 
     # -- TileCodec ----------------------------------------------------------
 
-    def decode_tile(self, enc: EncodedColumn, tile_idx: int) -> np.ndarray:
-        self.check_tile_index(enc, tile_idx)
-        self.validate_for_decode(enc)
-        d = self.d_blocks(enc)
-        n_blocks = enc.arrays["block_starts"].size - 1
-        first = tile_idx * d
-        last = min(first + d, n_blocks)
-        vals = self._decode_blocks(enc, first, last)
-        end = min((first + d) * BLOCK, enc.count) - first * BLOCK
-        vals = vals[:end]
-        self.verify_decoded_tiles(enc, np.array([tile_idx]), vals)
-        return vals.astype(enc.dtype)
-
-    def decode_tiles(self, enc: EncodedColumn, tile_indices: np.ndarray) -> np.ndarray:
-        tiles = self._validate_tile_indices(enc, tile_indices)
-        if tiles.size == 0:
-            return np.zeros(0, dtype=enc.dtype)
-        self.validate_for_decode(enc)
-        d = self.d_blocks(enc)
-        n_blocks = enc.arrays["block_starts"].size - 1
-        first = tiles * d
-        nb = np.minimum(first + d, n_blocks) - first
-        blocks = np.repeat(first, nb) + ragged_arange(nb)
-        vals = self._decode_block_indices(enc, blocks)
-        keep = np.minimum((tiles + 1) * d * BLOCK, enc.count) - tiles * d * BLOCK
-        vals = trim_tile_chunks(vals, nb * BLOCK, keep)
-        self.verify_decoded_tiles(enc, tiles, vals)
-        return vals.astype(enc.dtype, copy=False)
-
     def decode_tiles_into(
         self, enc: EncodedColumn, tile_indices: np.ndarray, out: np.ndarray
     ) -> int:
         tiles = self._validate_tile_indices(enc, tile_indices)
-        d = self.d_blocks(enc)
-        require_out_buffer(out, tiles.size * d * BLOCK)
+        require_out_buffer(out, tiles.size * self.tile_elements(enc))
         if tiles.size == 0:
             return 0
-        self.validate_for_decode(enc)
-        n_blocks = enc.arrays["block_starts"].size - 1
-        first = tiles * d
-        nb = np.minimum(first + d, n_blocks) - first
-        blocks = np.repeat(first, nb) + ragged_arange(nb)
-        self._decode_block_indices(enc, blocks, out=out)
-        keep = np.minimum((tiles + 1) * d * BLOCK, enc.count) - tiles * d * BLOCK
-        written = compact_tile_chunks_inplace(out, nb * BLOCK, keep)
+        bstarts, bits, chunk_lens, keep = self._tile_blocks(enc, tiles)
+        n = bstarts.size
+        _unpack_blocks(
+            enc.arrays["data"], bstarts, bits, out[: n * BLOCK].reshape(n, BLOCK)
+        )
+        written = compact_tile_chunks_inplace(out, chunk_lens, keep)
         self.verify_decoded_tiles(enc, tiles, out[:written])
+        return written
+
+    def decode_filter_tiles_into(
+        self,
+        enc: EncodedColumn,
+        tile_indices: np.ndarray,
+        predicate,
+        out: np.ndarray,
+        mask: np.ndarray,
+    ) -> int:
+        """Fused decode+filter: interval test during unpack.
+
+        GPU-BP stores raw magnitudes (no reference), so the interval is
+        tested directly; blocks whose header bitwidth already proves
+        ``[0, 2**b - 1]`` misses ``[lo, hi]`` are skipped (zero-filled,
+        mask False).
+        """
+        interval = predicate_interval(predicate)
+        if interval is None:
+            return super().decode_filter_tiles_into(
+                enc, tile_indices, predicate, out, mask
+            )
+        tiles = self._validate_tile_indices(enc, tile_indices)
+        needed = tiles.size * self.tile_elements(enc)
+        require_out_buffer(out, needed)
+        require_mask_buffer(mask, needed)
+        if tiles.size == 0:
+            return 0
+        bstarts, bits, chunk_lens, keep = self._tile_blocks(enc, tiles)
+        lo, hi = clamp_interval(*interval)
+        active = ((np.int64(1) << bits) - np.int64(1) >= lo) & (hi >= 0)
+        total = bstarts.size * BLOCK
+        _unpack_blocks(
+            enc.arrays["data"], bstarts, bits,
+            out[:total].reshape(-1, BLOCK), active,
+        )
+        # Skipped blocks hold zeros; when a block is inactive its interval
+        # misses [0, 2**b - 1] entirely (so 0 tests False) — except the
+        # degenerate hi < 0 case, which the lo <= value leg handles since
+        # then lo <= hi < 0 <= 0.  Either way no special-casing needed.
+        np.greater_equal(out[:total], np.int64(max(lo, 0)), out=mask[:total])
+        mask[:total] &= out[:total] <= np.int64(hi)
+        written = compact_tile_chunks_inplace(out, chunk_lens, keep)
+        compact_tile_chunks_inplace(mask, chunk_lens, keep)
+        if bool(active.all()):
+            self.verify_decoded_tiles(enc, tiles, out[:written])
         return written
 
     def tile_segments(self, enc: EncodedColumn) -> tuple[np.ndarray, np.ndarray]:
@@ -205,138 +253,18 @@ class GpuBp(TileCodec):
 
     # -- helpers ------------------------------------------------------------
 
-    def _decode_blocks(self, enc: EncodedColumn, first: int, last: int) -> np.ndarray:
-        if last - first <= 0:
-            return np.zeros(0, dtype=np.int64)
-        return self._decode_block_indices(enc, np.arange(first, last))
+    def _tile_blocks(self, enc: EncodedColumn, tiles: np.ndarray):
+        """The blocks ``tiles`` decode, after validating the column.
 
-    def _decode_block_indices(
-        self,
-        enc: EncodedColumn,
-        blocks: np.ndarray,
-        out: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Decode an arbitrary batch of blocks in one pass per bitwidth.
-
-        ``out`` optionally supplies a 1-D int64 scratch of at least
-        ``blocks.size * 128`` elements; the result is then a view into it.
+        Returns ``(bstarts, bits, chunk_lens, keep)``: each block's word
+        offset and header bitwidth in tile order, and each tile's
+        block-padded and logical lengths.
         """
-        blocks = np.asarray(blocks, dtype=np.int64)
-        n = blocks.size
-        if n == 0:
-            return np.zeros(0, dtype=np.int64)
-        bstarts = enc.arrays["block_starts"].astype(np.int64)[blocks]
-        data = enc.arrays["data"]
-        bits = data[bstarts].astype(np.int64)
-        if out is None:
-            decoded = np.empty((n, BLOCK), dtype=np.int64)
-        else:
-            require_out_buffer(out, n * BLOCK)
-            decoded = out[: n * BLOCK].reshape(n, BLOCK)
-        # Regular-geometry fast path: one shared bitwidth over physically
-        # consecutive blocks means equal payloads at a constant stride —
-        # one contiguous unpack instead of a per-block word gather.
-        b0 = int(bits[0])
-        if b0 and bool((bits == b0).all()):
-            payload = b0 * BLOCK // 32
-            stride = payload + _HEADER_WORDS
-            if n == 1 or bool((np.diff(bstarts) == stride).all()):
-                flat = decoded.reshape(-1)
-                bitio.unpack_bits_strided_into(
-                    data, int(bstarts[0]) + _HEADER_WORDS, n,
-                    payload, stride, BLOCK, b0, flat,
-                )
-                return flat
-        for b in np.unique(bits):
-            sel = np.flatnonzero(bits == b)
-            if b == 0:
-                decoded[sel] = 0
-                continue
-            words_per = int(b) * BLOCK // 32
-            src = (bstarts[sel] + _HEADER_WORDS)[:, None] + np.arange(words_per)
-            words = data[src.reshape(-1)]
-            vals = bitio.unpack_bits(words, sel.size * BLOCK, int(b))
-            decoded[sel] = vals.reshape(sel.size, BLOCK).astype(np.int64)
-        return decoded.reshape(-1)
-
-    def _decode_filter_block_indices(
-        self,
-        enc: EncodedColumn,
-        blocks: np.ndarray,
-        lo: int,
-        hi: int,
-        out: np.ndarray,
-        mask: np.ndarray,
-    ) -> np.ndarray:
-        """Fused decode+filter core: interval test during unpack.
-
-        GPU-BP stores raw magnitudes (no reference), so the interval is
-        tested directly; blocks whose header bitwidth already proves
-        ``[0, 2**b - 1]`` misses ``[lo, hi]`` are skipped (zero-filled,
-        mask False).  Returns the per-block active flags.
-        """
-        blocks = np.asarray(blocks, dtype=np.int64)
-        n = blocks.size
-        if n == 0:
-            return np.ones(0, dtype=bool)
-        bstarts = enc.arrays["block_starts"].astype(np.int64)[blocks]
-        data = enc.arrays["data"]
-        bits = data[bstarts].astype(np.int64)
-        block_hi = (np.int64(1) << bits) - np.int64(1)
-        active = (block_hi >= lo) & (hi >= 0)
-        decoded = out[: n * BLOCK].reshape(n, BLOCK)
-        if bool(active.all()):
-            self._decode_block_indices(enc, blocks, out=out)
-        else:
-            decoded[np.flatnonzero(~active)] = 0
-            for b in np.unique(bits[active]):
-                sel = np.flatnonzero(active & (bits == b))
-                if b == 0:
-                    decoded[sel] = 0
-                    continue
-                words_per = int(b) * BLOCK // 32
-                src = (bstarts[sel] + _HEADER_WORDS)[:, None] + np.arange(words_per)
-                words = data[src.reshape(-1)]
-                vals = bitio.unpack_bits(words, sel.size * BLOCK, int(b))
-                decoded[sel] = vals.reshape(sel.size, BLOCK).astype(np.int64)
-        # Skipped blocks hold zeros; when a block is inactive its interval
-        # misses [0, 2**b - 1] entirely (so 0 tests False) — except the
-        # degenerate hi < 0 case, which the lo <= value leg handles since
-        # then lo <= hi < 0 <= 0.  Either way no special-casing needed.
-        m2 = mask[: n * BLOCK].reshape(n, BLOCK)
-        np.greater_equal(decoded, np.int64(max(lo, 0)), out=m2)
-        m2 &= decoded <= np.int64(hi)
-        return active
-
-    def decode_filter_tiles_into(
-        self,
-        enc: EncodedColumn,
-        tile_indices: np.ndarray,
-        predicate,
-        out: np.ndarray,
-        mask: np.ndarray,
-    ) -> int:
-        interval = predicate_interval(predicate)
-        if interval is None:
-            return super().decode_filter_tiles_into(
-                enc, tile_indices, predicate, out, mask
-            )
-        tiles = self._validate_tile_indices(enc, tile_indices)
-        d = self.d_blocks(enc)
-        require_out_buffer(out, tiles.size * d * BLOCK)
-        require_mask_buffer(mask, tiles.size * d * BLOCK)
-        if tiles.size == 0:
-            return 0
         self.validate_for_decode(enc)
-        n_blocks = enc.arrays["block_starts"].size - 1
+        d = self.d_blocks(enc)
+        starts = enc.arrays["block_starts"].astype(np.int64)
         first = tiles * d
-        nb = np.minimum(first + d, n_blocks) - first
-        blocks = np.repeat(first, nb) + ragged_arange(nb)
-        lo, hi = clamp_interval(*interval)
-        active = self._decode_filter_block_indices(enc, blocks, lo, hi, out, mask)
+        nb = np.minimum(first + d, starts.size - 1) - first
+        bstarts = starts[np.repeat(first, nb) + ragged_arange(nb)]
         keep = np.minimum((tiles + 1) * d * BLOCK, enc.count) - tiles * d * BLOCK
-        written = compact_tile_chunks_inplace(out, nb * BLOCK, keep)
-        compact_tile_chunks_inplace(mask, nb * BLOCK, keep)
-        if bool(active.all()):
-            self.verify_decoded_tiles(enc, tiles, out[:written])
-        return written
+        return bstarts, enc.arrays["data"][bstarts].astype(np.int64), nb * BLOCK, keep

@@ -35,7 +35,6 @@ from repro.formats.base import (
     ragged_arange,
     require_mask_buffer,
     require_out_buffer,
-    trim_tile_chunks,
 )
 
 #: Values per block.
@@ -269,27 +268,6 @@ def unpack_block_indices(
     return decoded.reshape(-1)
 
 
-def unpack_blocks(
-    data: np.ndarray,
-    block_starts: np.ndarray,
-    first_block: int,
-    last_block: int,
-    add_reference: bool = True,
-) -> np.ndarray:
-    """Decode blocks ``[first_block, last_block)`` packed by :func:`pack_blocks`.
-
-    The contiguous-range convenience over :func:`unpack_block_indices`.
-
-    Returns:
-        int64 array of ``(last_block - first_block) * 128`` values.
-    """
-    if last_block - first_block <= 0:
-        return np.zeros(0, dtype=np.int64)
-    return unpack_block_indices(
-        data, block_starts, np.arange(first_block, last_block), add_reference
-    )
-
-
 def unpack_block_indices_filtered(
     data: np.ndarray,
     block_starts: np.ndarray,
@@ -397,14 +375,6 @@ class GpuFor(TileCodec):
         self.attach_tile_checksums(enc, padded[: values.size])
         return enc
 
-    def decode(self, enc: EncodedColumn) -> np.ndarray:
-        self.validate_for_decode(enc)
-        n_blocks = enc.arrays["block_starts"].size - 1
-        full = unpack_blocks(enc.arrays["data"], enc.arrays["block_starts"], 0, n_blocks)
-        vals = full[: enc.count]
-        self.verify_decoded_tiles(enc, np.arange(self.num_tiles(enc)), vals)
-        return vals.astype(enc.dtype)
-
     def cascade_passes(self, enc: EncodedColumn) -> list[CascadePass]:
         decoded_bytes = enc.count * 4
         starts, lengths = self.tile_segments(enc)
@@ -427,54 +397,18 @@ class GpuFor(TileCodec):
 
     # -- TileCodec ----------------------------------------------------------
 
-    def decode_tile(self, enc: EncodedColumn, tile_idx: int) -> np.ndarray:
-        self.check_tile_index(enc, tile_idx)
-        self.validate_for_decode(enc)
-        d = self.d_blocks(enc)
-        n_blocks = enc.arrays["block_starts"].size - 1
-        first = tile_idx * d
-        last = min(first + d, n_blocks)
-        vals = unpack_blocks(enc.arrays["data"], enc.arrays["block_starts"], first, last)
-        # Trim padding on the final tile.
-        end = min((first + d) * BLOCK, enc.count) - first * BLOCK
-        vals = vals[:end]
-        self.verify_decoded_tiles(enc, np.array([tile_idx]), vals)
-        return vals.astype(enc.dtype)
-
-    def decode_tiles(self, enc: EncodedColumn, tile_indices: np.ndarray) -> np.ndarray:
-        tiles = self._validate_tile_indices(enc, tile_indices)
-        if tiles.size == 0:
-            return np.zeros(0, dtype=enc.dtype)
-        self.validate_for_decode(enc)
-        d = self.d_blocks(enc)
-        n_blocks = enc.arrays["block_starts"].size - 1
-        first = tiles * d
-        nb = np.minimum(first + d, n_blocks) - first
-        blocks = np.repeat(first, nb) + ragged_arange(nb)
-        vals = unpack_block_indices(enc.arrays["data"], enc.arrays["block_starts"], blocks)
-        keep = np.minimum((tiles + 1) * d * BLOCK, enc.count) - tiles * d * BLOCK
-        vals = trim_tile_chunks(vals, nb * BLOCK, keep)
-        self.verify_decoded_tiles(enc, tiles, vals)
-        return vals.astype(enc.dtype, copy=False)
-
     def decode_tiles_into(
         self, enc: EncodedColumn, tile_indices: np.ndarray, out: np.ndarray
     ) -> int:
         tiles = self._validate_tile_indices(enc, tile_indices)
-        d = self.d_blocks(enc)
-        require_out_buffer(out, tiles.size * d * BLOCK)
+        require_out_buffer(out, tiles.size * self.tile_elements(enc))
         if tiles.size == 0:
             return 0
-        self.validate_for_decode(enc)
-        n_blocks = enc.arrays["block_starts"].size - 1
-        first = tiles * d
-        nb = np.minimum(first + d, n_blocks) - first
-        blocks = np.repeat(first, nb) + ragged_arange(nb)
+        blocks, chunk_lens, keep = self._tile_blocks(enc, tiles)
         unpack_block_indices(
             enc.arrays["data"], enc.arrays["block_starts"], blocks, out=out
         )
-        keep = np.minimum((tiles + 1) * d * BLOCK, enc.count) - tiles * d * BLOCK
-        written = compact_tile_chunks_inplace(out, nb * BLOCK, keep)
+        written = compact_tile_chunks_inplace(out, chunk_lens, keep)
         self.verify_decoded_tiles(enc, tiles, out[:written])
         return written
 
@@ -492,23 +426,18 @@ class GpuFor(TileCodec):
                 enc, tile_indices, predicate, out, mask
             )
         tiles = self._validate_tile_indices(enc, tile_indices)
-        d = self.d_blocks(enc)
-        require_out_buffer(out, tiles.size * d * BLOCK)
-        require_mask_buffer(mask, tiles.size * d * BLOCK)
+        needed = tiles.size * self.tile_elements(enc)
+        require_out_buffer(out, needed)
+        require_mask_buffer(mask, needed)
         if tiles.size == 0:
             return 0
-        self.validate_for_decode(enc)
-        n_blocks = enc.arrays["block_starts"].size - 1
-        first = tiles * d
-        nb = np.minimum(first + d, n_blocks) - first
-        blocks = np.repeat(first, nb) + ragged_arange(nb)
+        blocks, chunk_lens, keep = self._tile_blocks(enc, tiles)
         lo, hi = clamp_interval(*interval)
         active = unpack_block_indices_filtered(
             enc.arrays["data"], enc.arrays["block_starts"], blocks, lo, hi, out, mask
         )
-        keep = np.minimum((tiles + 1) * d * BLOCK, enc.count) - tiles * d * BLOCK
-        written = compact_tile_chunks_inplace(out, nb * BLOCK, keep)
-        compact_tile_chunks_inplace(mask, nb * BLOCK, keep)
+        written = compact_tile_chunks_inplace(out, chunk_lens, keep)
+        compact_tile_chunks_inplace(mask, chunk_lens, keep)
         if bool(active.all()):
             # No blocks were skipped, so the values are fully
             # materialized and checksum coverage is preserved.
@@ -566,6 +495,19 @@ class GpuFor(TileCodec):
         )
 
     # -- helpers ------------------------------------------------------------
+
+    def _tile_blocks(self, enc: EncodedColumn, tiles: np.ndarray):
+        """The blocks ``tiles`` decode, after validating the column.
+
+        Returns ``(blocks, chunk_lens, keep)``: block indices in tile
+        order, and each tile's block-padded and logical lengths.
+        """
+        self.validate_for_decode(enc)
+        d = self.d_blocks(enc)
+        first = tiles * d
+        nb = np.minimum(first + d, self._num_blocks(enc)) - first
+        keep = np.minimum((tiles + 1) * d * BLOCK, enc.count) - tiles * d * BLOCK
+        return np.repeat(first, nb) + ragged_arange(nb), nb * BLOCK, keep
 
     @staticmethod
     def _num_blocks(enc: EncodedColumn) -> int:

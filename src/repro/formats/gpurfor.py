@@ -24,17 +24,12 @@ from repro.formats.base import (
     EncodedColumn,
     KernelResources,
     TileCodec,
+    compact_tile_chunks_inplace,
     ragged_arange,
     require_mask_buffer,
     require_out_buffer,
-    trim_tile_chunks,
 )
-from repro.formats.ragged import (
-    RaggedPacked,
-    pack_ragged,
-    unpack_ragged,
-    unpack_ragged_blocks,
-)
+from repro.formats.ragged import RaggedPacked, pack_ragged, unpack_ragged_blocks
 
 #: Logical values per RFOR block (Section 6).
 RFOR_BLOCK = 512
@@ -120,38 +115,6 @@ class GpuRFor(TileCodec):
         self.attach_tile_checksums(enc, v[:n])
         return enc
 
-    def _check_run_sum(
-        self, enc: EncodedColumn, run_lengths: np.ndarray, n_blocks: int, tile_id: int
-    ) -> None:
-        """Reject corrupt run lengths *before* expansion allocates output.
-
-        Each block's run lengths must sum to exactly ``RFOR_BLOCK``; a
-        flipped bit in the packed lengths stream would otherwise make
-        ``np.repeat`` allocate an arbitrarily large (or misaligned)
-        expansion.
-        """
-        expected = n_blocks * RFOR_BLOCK
-        total = int(run_lengths.sum()) if run_lengths.size else 0
-        if total != expected or (run_lengths.size and int(run_lengths.min()) < 1):
-            from repro.formats.validate import CorruptTileError
-
-            raise CorruptTileError(
-                enc.column_name, tile_id,
-                f"run lengths sum to {total}, expected {expected}",
-            )
-
-    def decode(self, enc: EncodedColumn) -> np.ndarray:
-        if enc.count == 0:
-            return np.zeros(0, dtype=enc.dtype)
-        self.validate_for_decode(enc)
-        n_blocks = self._num_blocks(enc)
-        run_values, run_lengths = self._decode_runs(enc, 0, n_blocks)
-        self._check_run_sum(enc, run_lengths, n_blocks, -1)
-        out = np.repeat(run_values, run_lengths)
-        vals = out[: enc.count]
-        self.verify_decoded_tiles(enc, np.arange(self.num_tiles(enc)), vals)
-        return vals.astype(enc.dtype)
-
     def cascade_passes(self, enc: EncodedColumn) -> list[CascadePass]:
         """Eight kernel passes (Section 9.2): FOR+BitPack for both streams,
         then the four RLE expansion steps of Fang et al."""
@@ -218,80 +181,24 @@ class GpuRFor(TileCodec):
 
     # -- TileCodec ----------------------------------------------------------
 
-    def decode_tile(self, enc: EncodedColumn, tile_idx: int) -> np.ndarray:
-        self.check_tile_index(enc, tile_idx)
-        self.validate_for_decode(enc)
-        d = self.d_blocks(enc)
-        n_blocks = self._num_blocks(enc)
-        first = tile_idx * d
-        last = min(first + d, n_blocks)
-        run_values, run_lengths = self._decode_runs(enc, first, last)
-        self._check_run_sum(enc, run_lengths, last - first, tile_idx)
-        # The device function's expansion: Fang et al.'s four block-wide
-        # steps (scan, scatter, max-scan, gather) in shared memory.
-        from repro.engine.primitives import block_rle_expand
-
-        out = block_rle_expand(run_values, run_lengths)
-        end = min((first + d) * RFOR_BLOCK, enc.count) - first * RFOR_BLOCK
-        out = out[:end]
-        self.verify_decoded_tiles(enc, np.array([tile_idx]), out)
-        return out.astype(enc.dtype)
-
-    def decode_tiles(self, enc: EncodedColumn, tile_indices: np.ndarray) -> np.ndarray:
-        tiles = self._validate_tile_indices(enc, tile_indices)
-        if tiles.size == 0:
-            return np.zeros(0, dtype=enc.dtype)
-        self.validate_for_decode(enc)
-        d = self.d_blocks(enc)
-        n_blocks = self._num_blocks(enc)
-        first = tiles * d
-        nb = np.minimum(first + d, n_blocks) - first
-        blocks = np.repeat(first, nb) + ragged_arange(nb)
-        counts = enc.arrays["run_counts"]
-        run_values, _ = unpack_ragged_blocks(
-            RaggedPacked(
-                data=enc.arrays["values_data"],
-                block_starts=enc.arrays["values_starts"],
-                counts=counts,
-            ),
-            blocks,
-        )
-        run_lengths, _ = unpack_ragged_blocks(
-            RaggedPacked(
-                data=enc.arrays["lengths_data"],
-                block_starts=enc.arrays["lengths_starts"],
-                counts=counts,
-            ),
-            blocks,
-        )
-        # Runs never cross block boundaries and each block's lengths sum
-        # to exactly RFOR_BLOCK, so one repeat expands the whole batch.
-        self._check_run_sum(enc, run_lengths, int(nb.sum()), int(tiles[0]))
-        expanded = np.repeat(run_values, run_lengths)
-        keep = (
-            np.minimum((tiles + 1) * d * RFOR_BLOCK, enc.count)
-            - tiles * d * RFOR_BLOCK
-        )
-        vals = trim_tile_chunks(expanded, nb * RFOR_BLOCK, keep)
-        self.verify_decoded_tiles(enc, tiles, vals)
-        return vals.astype(enc.dtype, copy=False)
-
     def decode_tiles_into(
         self, enc: EncodedColumn, tile_indices: np.ndarray, out: np.ndarray
     ) -> int:
-        # RLE expansion's np.repeat has no out-parameter, so the run
-        # streams and the expanded runs stay transient; only the trimmed
-        # logical values are copied into the caller's scratch.  The
-        # transients are run-sized (tiny for run-heavy columns), so the
-        # arena still bounds the dominant decoded footprint.
+        # Runs never cross block boundaries and each block's lengths sum
+        # to exactly RFOR_BLOCK, so one repeat expands the whole batch.
+        # np.repeat has no out-parameter, so the expansion is a transient
+        # copied into the caller's scratch; the run streams are run-sized
+        # (tiny for run-heavy columns), so the arena still bounds the
+        # dominant decoded footprint.
         tiles = self._validate_tile_indices(enc, tile_indices)
-        d = self.d_blocks(enc)
-        require_out_buffer(out, tiles.size * d * RFOR_BLOCK)
+        require_out_buffer(out, tiles.size * self.tile_elements(enc))
         if tiles.size == 0:
             return 0
-        values = self.decode_tiles(enc, tiles)
-        out[: values.size] = values
-        return int(values.size)
+        run_values, run_lengths, chunk_lens, keep = self._tile_runs(enc, tiles)
+        out[: chunk_lens.sum()] = np.repeat(run_values, run_lengths)
+        written = compact_tile_chunks_inplace(out, chunk_lens, keep)
+        self.verify_decoded_tiles(enc, tiles, out[:written])
+        return written
 
     def decode_filter_tiles_into(
         self,
@@ -310,47 +217,19 @@ class GpuRFor(TileCodec):
         values are fully materialized so checksum coverage is preserved.
         """
         tiles = self._validate_tile_indices(enc, tile_indices)
-        d = self.d_blocks(enc)
-        require_out_buffer(out, tiles.size * d * RFOR_BLOCK)
-        require_mask_buffer(mask, tiles.size * d * RFOR_BLOCK)
+        needed = tiles.size * self.tile_elements(enc)
+        require_out_buffer(out, needed)
+        require_mask_buffer(mask, needed)
         if tiles.size == 0:
             return 0
-        self.validate_for_decode(enc)
-        n_blocks = self._num_blocks(enc)
-        first = tiles * d
-        nb = np.minimum(first + d, n_blocks) - first
-        blocks = np.repeat(first, nb) + ragged_arange(nb)
-        counts = enc.arrays["run_counts"]
-        run_values, _ = unpack_ragged_blocks(
-            RaggedPacked(
-                data=enc.arrays["values_data"],
-                block_starts=enc.arrays["values_starts"],
-                counts=counts,
-            ),
-            blocks,
-        )
-        run_lengths, _ = unpack_ragged_blocks(
-            RaggedPacked(
-                data=enc.arrays["lengths_data"],
-                block_starts=enc.arrays["lengths_starts"],
-                counts=counts,
-            ),
-            blocks,
-        )
-        self._check_run_sum(enc, run_lengths, int(nb.sum()), int(tiles[0]))
-        run_mask = predicate.row_mask(run_values)
-        expanded = np.repeat(run_values, run_lengths)
-        expanded_mask = np.repeat(run_mask, run_lengths)
-        keep = (
-            np.minimum((tiles + 1) * d * RFOR_BLOCK, enc.count)
-            - tiles * d * RFOR_BLOCK
-        )
-        vals = trim_tile_chunks(expanded, nb * RFOR_BLOCK, keep)
-        kept_mask = trim_tile_chunks(expanded_mask, nb * RFOR_BLOCK, keep)
-        self.verify_decoded_tiles(enc, tiles, vals)
-        out[: vals.size] = vals
-        mask[: vals.size] = kept_mask
-        return int(vals.size)
+        run_values, run_lengths, chunk_lens, keep = self._tile_runs(enc, tiles)
+        total = int(chunk_lens.sum())
+        out[:total] = np.repeat(run_values, run_lengths)
+        mask[:total] = np.repeat(predicate.row_mask(run_values), run_lengths)
+        written = compact_tile_chunks_inplace(out, chunk_lens, keep)
+        compact_tile_chunks_inplace(mask, chunk_lens, keep)
+        self.verify_decoded_tiles(enc, tiles, out[:written])
+        return written
 
     def tile_bounds(self, enc: EncodedColumn) -> tuple[np.ndarray, np.ndarray]:
         """Zero-decode bounds from the run-values stream's metadata.
@@ -433,23 +312,53 @@ class GpuRFor(TileCodec):
 
     # -- helpers ------------------------------------------------------------
 
-    def _decode_runs(
-        self, enc: EncodedColumn, first: int, last: int
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def _tile_runs(self, enc: EncodedColumn, tiles: np.ndarray):
+        """Unpack and check the run streams of a batch of tiles.
+
+        Returns ``(run_values, run_lengths, chunk_lens, keep)``: the
+        batch's runs in tile order, each tile's block-padded expanded
+        length, and its logical length.  Corrupt run lengths are rejected
+        *before* expansion allocates output — each block's lengths must
+        be positive and sum to exactly ``RFOR_BLOCK``, or a flipped bit
+        in the packed lengths stream would make ``np.repeat`` allocate an
+        arbitrarily large (or misaligned) expansion.  The report names
+        the tile of the first bad block.
+        """
+        self.validate_for_decode(enc)
+        d = self.d_blocks(enc)
+        first = tiles * d
+        nb = np.minimum(first + d, self._num_blocks(enc)) - first
+        blocks = np.repeat(first, nb) + ragged_arange(nb)
         counts = enc.arrays["run_counts"]
-        vals_packed = RaggedPacked(
-            data=enc.arrays["values_data"],
-            block_starts=enc.arrays["values_starts"],
-            counts=counts,
+        run_values, _ = unpack_ragged_blocks(
+            RaggedPacked(enc.arrays["values_data"], enc.arrays["values_starts"], counts),
+            blocks,
         )
-        lens_packed = RaggedPacked(
-            data=enc.arrays["lengths_data"],
-            block_starts=enc.arrays["lengths_starts"],
-            counts=counts,
+        run_lengths, runs = unpack_ragged_blocks(
+            RaggedPacked(enc.arrays["lengths_data"], enc.arrays["lengths_starts"], counts),
+            blocks,
         )
-        run_values, _ = unpack_ragged(vals_packed, first, last)
-        run_lengths, _ = unpack_ragged(lens_packed, first, last)
-        return run_values, run_lengths
+        starts = np.cumsum(runs) - runs
+        bad = (np.add.reduceat(run_lengths, starts) != RFOR_BLOCK) | (
+            np.minimum.reduceat(run_lengths, starts) < 1
+        )
+        if bad.any():
+            from repro.formats.validate import CorruptTileError
+
+            block = int(np.argmax(bad))
+            lo = int(starts[block])
+            total = int(run_lengths[lo : lo + runs[block]].sum())
+            tile = int(tiles[np.searchsorted(np.cumsum(nb), block, side="right")])
+            raise CorruptTileError(
+                enc.column_name, tile,
+                f"run lengths of block {int(blocks[block])} sum to {total}, "
+                f"expected {RFOR_BLOCK}",
+            )
+        keep = (
+            np.minimum((tiles + 1) * d * RFOR_BLOCK, enc.count)
+            - tiles * d * RFOR_BLOCK
+        )
+        return run_values, run_lengths, nb * RFOR_BLOCK, keep
 
     def _num_blocks(self, enc: EncodedColumn) -> int:
         return enc.arrays["run_counts"].size

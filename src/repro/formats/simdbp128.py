@@ -28,7 +28,6 @@ from repro.formats.base import (
     predicate_interval,
     require_mask_buffer,
     require_out_buffer,
-    trim_tile_chunks,
 )
 from repro.formats.gpufor import bit_length
 
@@ -39,6 +38,45 @@ VBLOCK = 4096
 LANES = 32
 #: Words of per-block metadata (reference + bitwidth).
 _HEADER_WORDS = 2
+
+
+def _unpack_vertical(
+    data: np.ndarray,
+    bstarts: np.ndarray,
+    bits: np.ndarray,
+    decoded: np.ndarray,
+    active: np.ndarray | None = None,
+) -> None:
+    """Unpack vertical blocks' reference-relative diffs into ``decoded`` rows.
+
+    One pass per distinct bitwidth; blocks flagged False in ``active``
+    are zero-filled instead of unpacked (the fused filter's skip).
+    """
+    if active is None:
+        active = np.ones(bstarts.size, dtype=bool)
+    decoded[~active] = 0
+    per_lane = VBLOCK // LANES
+    for b in np.unique(bits[active]):
+        sel = np.flatnonzero(active & (bits == b))
+        if b == 0:
+            decoded[sel] = 0
+            continue
+        words_per_block = int(b) * VBLOCK // 32
+        words_per_lane = words_per_block // LANES
+        src = (bstarts[sel] + _HEADER_WORDS)[:, None] + np.arange(words_per_block)
+        words = data[src.reshape(-1)].reshape(sel.size, words_per_lane, LANES)
+        # De-interleave the vertical layout: lane l of word-group g sits at
+        # word g*LANES + l.  Each lane is word-aligned, so the per-block
+        # lane streams concatenate into one valid horizontal stream
+        # unpacked in a single pass.
+        lane_stream = np.ascontiguousarray(words.transpose(0, 2, 1)).reshape(-1)
+        vals = bitio.unpack_bits(lane_stream, sel.size * VBLOCK, int(b))
+        # Value i of a block lives at (lane i % LANES, slot i // LANES).
+        decoded[sel] = (
+            vals.reshape(sel.size, LANES, per_lane)
+            .transpose(0, 2, 1)
+            .reshape(sel.size, VBLOCK)
+        )
 
 
 class GpuSimdBp128(TileCodec):
@@ -104,9 +142,6 @@ class GpuSimdBp128(TileCodec):
         self.attach_tile_checksums(enc, v[:n])
         return enc
 
-    def decode(self, enc: EncodedColumn) -> np.ndarray:
-        return self.decode_range(enc, 0, self.num_tiles(enc))
-
     def cascade_passes(self, enc: EncodedColumn) -> list[CascadePass]:
         starts, lengths = self.tile_segments(enc)
         return [
@@ -128,67 +163,6 @@ class GpuSimdBp128(TileCodec):
 
     # -- TileCodec ----------------------------------------------------------
 
-    def decode_tile(self, enc: EncodedColumn, tile_idx: int) -> np.ndarray:
-        self.check_tile_index(enc, tile_idx)
-        self.validate_for_decode(enc)
-        starts = enc.arrays["block_starts"].astype(np.int64)
-        data = enc.arrays["data"]
-        start = int(starts[tile_idx])
-        reference = int(np.int32(data[start]))
-        b = int(data[start + 1])
-        if b:
-            words = data[start + _HEADER_WORDS : int(starts[tile_idx + 1])]
-            vals = bitio.unpack_vertical(words, VBLOCK, b, LANES).astype(np.int64)
-        else:
-            vals = np.zeros(VBLOCK, dtype=np.int64)
-        vals += reference
-        end = min((tile_idx + 1) * VBLOCK, enc.count) - tile_idx * VBLOCK
-        vals = vals[:end]
-        self.verify_decoded_tiles(enc, np.array([tile_idx]), vals)
-        return vals.astype(enc.dtype)
-
-    def decode_tiles(self, enc: EncodedColumn, tile_indices: np.ndarray) -> np.ndarray:
-        tiles = self._validate_tile_indices(enc, tile_indices)
-        if tiles.size == 0:
-            return np.zeros(0, dtype=enc.dtype)
-        self.validate_for_decode(enc)
-        data = enc.arrays["data"]
-        bstarts = enc.arrays["block_starts"].astype(np.int64)[tiles]
-        references = data[bstarts].view(np.int32).astype(np.int64)
-        bits = data[bstarts + 1].astype(np.int64)
-        per_lane = VBLOCK // LANES
-
-        out = np.empty((tiles.size, VBLOCK), dtype=np.int64)
-        for b in np.unique(bits):
-            sel = np.flatnonzero(bits == b)
-            if b == 0:
-                out[sel] = 0
-                continue
-            words_per_block = int(b) * VBLOCK // 32
-            words_per_lane = words_per_block // LANES
-            src = (bstarts[sel] + _HEADER_WORDS)[:, None] + np.arange(words_per_block)
-            words = data[src.reshape(-1)].reshape(sel.size, words_per_lane, LANES)
-            # De-interleave the vertical layout: lane l of word-group g
-            # sits at word g*LANES + l.  Each lane is word-aligned, so
-            # the per-block lane streams concatenate into one valid
-            # horizontal stream unpacked in a single pass.
-            lane_stream = np.ascontiguousarray(words.transpose(0, 2, 1)).reshape(-1)
-            vals = bitio.unpack_bits(lane_stream, sel.size * VBLOCK, int(b))
-            # Value i of a block lives at (lane i % LANES, slot i // LANES).
-            out[sel] = (
-                vals.reshape(sel.size, LANES, per_lane)
-                .transpose(0, 2, 1)
-                .reshape(sel.size, VBLOCK)
-                .astype(np.int64)
-            )
-        out += references[:, None]
-        keep = np.minimum((tiles + 1) * VBLOCK, enc.count) - tiles * VBLOCK
-        vals = trim_tile_chunks(
-            out.reshape(-1), np.full(tiles.size, VBLOCK, dtype=np.int64), keep
-        )
-        self.verify_decoded_tiles(enc, tiles, vals)
-        return vals.astype(enc.dtype, copy=False)
-
     def decode_tiles_into(
         self, enc: EncodedColumn, tile_indices: np.ndarray, out: np.ndarray
     ) -> int:
@@ -196,35 +170,11 @@ class GpuSimdBp128(TileCodec):
         require_out_buffer(out, tiles.size * VBLOCK)
         if tiles.size == 0:
             return 0
-        self.validate_for_decode(enc)
-        data = enc.arrays["data"]
-        bstarts = enc.arrays["block_starts"].astype(np.int64)[tiles]
-        references = data[bstarts].view(np.int32).astype(np.int64)
-        bits = data[bstarts + 1].astype(np.int64)
-        per_lane = VBLOCK // LANES
-
+        bstarts, references, bits, chunk_lens, keep = self._tile_headers(enc, tiles)
         decoded = out[: tiles.size * VBLOCK].reshape(tiles.size, VBLOCK)
-        for b in np.unique(bits):
-            sel = np.flatnonzero(bits == b)
-            if b == 0:
-                decoded[sel] = 0
-                continue
-            words_per_block = int(b) * VBLOCK // 32
-            words_per_lane = words_per_block // LANES
-            src = (bstarts[sel] + _HEADER_WORDS)[:, None] + np.arange(words_per_block)
-            words = data[src.reshape(-1)].reshape(sel.size, words_per_lane, LANES)
-            lane_stream = np.ascontiguousarray(words.transpose(0, 2, 1)).reshape(-1)
-            vals = bitio.unpack_bits(lane_stream, sel.size * VBLOCK, int(b))
-            decoded[sel] = (
-                vals.reshape(sel.size, LANES, per_lane)
-                .transpose(0, 2, 1)
-                .reshape(sel.size, VBLOCK)
-            )
+        _unpack_vertical(enc.arrays["data"], bstarts, bits, decoded)
         decoded += references[:, None]
-        keep = np.minimum((tiles + 1) * VBLOCK, enc.count) - tiles * VBLOCK
-        written = compact_tile_chunks_inplace(
-            out, np.full(tiles.size, VBLOCK, dtype=np.int64), keep
-        )
+        written = compact_tile_chunks_inplace(out, chunk_lens, keep)
         self.verify_decoded_tiles(enc, tiles, out[:written])
         return written
 
@@ -254,34 +204,12 @@ class GpuSimdBp128(TileCodec):
         require_mask_buffer(mask, tiles.size * VBLOCK)
         if tiles.size == 0:
             return 0
-        self.validate_for_decode(enc)
-        data = enc.arrays["data"]
-        bstarts = enc.arrays["block_starts"].astype(np.int64)[tiles]
-        references = data[bstarts].view(np.int32).astype(np.int64)
-        bits = data[bstarts + 1].astype(np.int64)
-        per_lane = VBLOCK // LANES
+        bstarts, references, bits, chunk_lens, keep = self._tile_headers(enc, tiles)
         lo, hi = clamp_interval(*interval)
         block_hi = references + (np.int64(1) << bits) - np.int64(1)
         active = (block_hi >= lo) & (references <= hi)
-
         decoded = out[: tiles.size * VBLOCK].reshape(tiles.size, VBLOCK)
-        decoded[np.flatnonzero(~active)] = 0
-        for b in np.unique(bits[active]):
-            sel = np.flatnonzero(active & (bits == b))
-            if b == 0:
-                decoded[sel] = 0
-                continue
-            words_per_block = int(b) * VBLOCK // 32
-            words_per_lane = words_per_block // LANES
-            src = (bstarts[sel] + _HEADER_WORDS)[:, None] + np.arange(words_per_block)
-            words = data[src.reshape(-1)].reshape(sel.size, words_per_lane, LANES)
-            lane_stream = np.ascontiguousarray(words.transpose(0, 2, 1)).reshape(-1)
-            vals = bitio.unpack_bits(lane_stream, sel.size * VBLOCK, int(b))
-            decoded[sel] = (
-                vals.reshape(sel.size, LANES, per_lane)
-                .transpose(0, 2, 1)
-                .reshape(sel.size, VBLOCK)
-            )
+        _unpack_vertical(enc.arrays["data"], bstarts, bits, decoded, active)
         # Shifted-domain compare: skipped blocks hold zero diffs, and an
         # inactive block's shifted interval cannot contain 0, so their
         # mask lands False without special-casing.
@@ -289,10 +217,8 @@ class GpuSimdBp128(TileCodec):
         np.greater_equal(decoded, (lo - references)[:, None], out=m2)
         m2 &= decoded <= (hi - references)[:, None]
         decoded += references[:, None]
-        chunk = np.full(tiles.size, VBLOCK, dtype=np.int64)
-        keep = np.minimum((tiles + 1) * VBLOCK, enc.count) - tiles * VBLOCK
-        written = compact_tile_chunks_inplace(out, chunk, keep)
-        compact_tile_chunks_inplace(mask, chunk, keep)
+        written = compact_tile_chunks_inplace(out, chunk_lens, keep)
+        compact_tile_chunks_inplace(mask, chunk_lens, keep)
         if bool(active.all()):
             self.verify_decoded_tiles(enc, tiles, out[:written])
         return written
@@ -339,3 +265,21 @@ class GpuSimdBp128(TileCodec):
             tile_prologue_ops=5500.0,
             shared_bytes_per_element=8.0,
         )
+
+    # -- helpers ------------------------------------------------------------
+
+    def _tile_headers(self, enc: EncodedColumn, tiles: np.ndarray):
+        """Headers of ``tiles``' blocks (one per tile), after validating.
+
+        Returns ``(bstarts, references, bits, chunk_lens, keep)``: each
+        block's word offset, FOR reference and bitwidth in tile order,
+        and each tile's padded and logical lengths.
+        """
+        self.validate_for_decode(enc)
+        data = enc.arrays["data"]
+        bstarts = enc.arrays["block_starts"].astype(np.int64)[tiles]
+        references = data[bstarts].view(np.int32).astype(np.int64)
+        bits = data[bstarts + 1].astype(np.int64)
+        chunk_lens = np.full(tiles.size, VBLOCK, dtype=np.int64)
+        keep = np.minimum((tiles + 1) * VBLOCK, enc.count) - tiles * VBLOCK
+        return bstarts, references, bits, chunk_lens, keep

@@ -37,7 +37,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.random_access import gather
+# Not called here (lookups go through CrystalEngine.lookup_values); kept
+# importable because e2ebench/bench_trace.py wraps ``gather`` by module.
+from repro.core.random_access import gather  # noqa: F401
 from repro.engine.crystal import CrystalEngine, SSBQuery
 from repro.engine.ssb_queries import QUERIES
 from repro.formats import kernels
@@ -770,33 +772,9 @@ class QueryServer:
             return execute_ms, payloads
         before = self.device.elapsed_ms
         with self._place_pinned((name,)):
-            # Branch on the one ``col`` snapshot fetched above: re-probing
-            # the store mid-lookup could observe the other side of a
-            # racing tier swap and pair the wrong payload with the
-            # verdict.  A hot column's pinned decoded image serves the
-            # batch as a plain coalesced gather — no per-tile decode.
-            pinned = self.engine.pinned_decoded(name)
-            if pinned is not None:
-                with self.device.launch(
-                    f"lookup-{name}", grid_blocks=max(1, all_indices.size // 128)
-                ) as k:
-                    k.read_gather(all_indices.size, 4, pinned.size * 4)
-                    k.compute(all_indices.size)
-                fetched = np.asarray(pinned)[all_indices]
-            elif self.engine.inline_column(col):
-                fetched = gather(col.payload, all_indices, self.device).values
-            else:
-                if col.tier == "cold":
-                    # Entropy-coded payloads have no random access: the
-                    # batch pays the unspill + cascade decode prologue.
-                    self.engine.decompress_first((name,))
-                # Uncompressed: each index pulls one coalesced element.
-                with self.device.launch(
-                    f"lookup-{name}", grid_blocks=max(1, all_indices.size // 128)
-                ) as k:
-                    k.read_gather(all_indices.size, 4, col.values.size * 4)
-                    k.compute(all_indices.size)
-                fetched = np.asarray(col.values)[all_indices]
+            # Serve from the one ``col`` snapshot fetched above (see
+            # CrystalEngine.lookup_values for the tier-swap guarantee).
+            fetched = self.engine.lookup_values(col, all_indices)
         execute_ms = self.device.elapsed_ms - before
         payloads = []
         offset = 0

@@ -47,7 +47,9 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
-from repro.core.random_access import gather
+# Not called here (lookups go through CrystalEngine.lookup_values); kept
+# importable because e2ebench/bench_trace.py wraps ``gather`` by module.
+from repro.core.random_access import gather  # noqa: F401
 from repro.engine.crystal import TILE, CrystalEngine, SSBQuery
 from repro.engine.streaming import TileStreamExecutor
 from repro.formats.base import TileCodec
@@ -568,28 +570,9 @@ class ShardRouter:
         """Gather ``idx`` of one column on a shard's device into ``out[pos]``."""
         with shard.lock:
             before = shard.device.elapsed_ms
-            # Branch on the ``col`` snapshot the router fetched once: a
-            # tier swap racing this gather must not pair a re-probed
-            # verdict with the snapshot's payload.
-            pinned = shard.engine.pinned_decoded(col.name)
-            if pinned is not None:
-                with shard.device.launch(
-                    f"lookup-{col.name}", grid_blocks=max(1, idx.size // 128)
-                ) as k:
-                    k.read_gather(idx.size, 4, pinned.size * 4)
-                    k.compute(idx.size)
-                fetched = np.asarray(pinned)[idx]
-            elif shard.engine.inline_column(col):
-                fetched = gather(col.payload, idx, shard.device).values
-            else:
-                if col.tier == "cold":
-                    shard.engine.decompress_first((col.name,))
-                with shard.device.launch(
-                    f"lookup-{col.name}", grid_blocks=max(1, idx.size // 128)
-                ) as k:
-                    k.read_gather(idx.size, 4, col.values.size * 4)
-                    k.compute(idx.size)
-                fetched = np.asarray(col.values)[idx]
+            # Serve from the ``col`` snapshot the router fetched once, so
+            # a tier swap racing this gather cannot tear the batch.
+            fetched = shard.engine.lookup_values(col, idx)
             out[pos] = fetched
             ms = shard.device.elapsed_ms - before
             shard.busy_ms += ms

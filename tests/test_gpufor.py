@@ -11,7 +11,7 @@ from repro.formats.gpufor import (
     GpuFor,
     bit_length,
     pack_blocks,
-    unpack_blocks,
+    unpack_block_indices,
 )
 
 
@@ -79,7 +79,7 @@ class TestPackBlocks:
         values = np.full(BLOCK, -5, dtype=np.int64)
         values[0] = -100
         data, starts, _ = pack_blocks(values)
-        out = unpack_blocks(data, starts, 0, 1)
+        out = unpack_block_indices(data, starts, np.arange(0, 1))
         assert np.array_equal(out, values)
 
     def test_range_over_32_bits_rejected(self):
@@ -100,13 +100,13 @@ class TestPackBlocks:
     def test_unpack_without_reference_gives_raw_diffs(self):
         values = np.arange(100, 100 + BLOCK, dtype=np.int64)
         data, starts, _ = pack_blocks(values)
-        diffs = unpack_blocks(data, starts, 0, 1, add_reference=False)
+        diffs = unpack_block_indices(data, starts, np.arange(0, 1), add_reference=False)
         assert np.array_equal(diffs, np.arange(BLOCK))
 
     def test_partial_block_range_decode(self):
         values = np.arange(5 * BLOCK, dtype=np.int64) * 3
         data, starts, _ = pack_blocks(values)
-        out = unpack_blocks(data, starts, 2, 4)
+        out = unpack_block_indices(data, starts, np.arange(2, 4))
         assert np.array_equal(out, values[2 * BLOCK : 4 * BLOCK])
 
 

@@ -85,6 +85,27 @@ class TestGpuRForCodec:
         enc = GpuRFor().encode(rng.integers(0, 10, 2048))
         assert len(GpuRFor().cascade_passes(enc)) == 8
 
+    @pytest.mark.parametrize("d_blocks", [1, 2])
+    def test_corrupt_run_lengths_name_their_tile(self, rng, d_blocks):
+        """Bad run lengths in a non-first tile are reported at that tile."""
+        from repro.formats.validate import CorruptTileError
+
+        codec = GpuRFor(d_blocks=d_blocks)
+        enc = codec.encode(np.repeat(rng.integers(0, 50, 1500), 5))
+        bad_tile = codec.num_tiles(enc) - 2
+        block = bad_tile * d_blocks + d_blocks - 1
+        # Raising a block's FOR reference lengthens every one of its runs.
+        enc.arrays["lengths_data"][enc.arrays["lengths_starts"][block]] += 1
+        n_tiles = codec.num_tiles(enc)
+        for decode in (
+            lambda: codec.decode(enc),
+            lambda: codec.decode_tiles(enc, [0, bad_tile - 1, bad_tile]),
+            lambda: codec.decode_range(enc, 1, n_tiles),
+        ):
+            with pytest.raises(CorruptTileError) as excinfo:
+                decode()
+            assert excinfo.value.tile_id == bad_tile
+
     def test_two_streams_present(self, rng):
         enc = GpuRFor().encode(rng.integers(0, 10, 2048))
         for key in ("values_data", "lengths_data", "values_starts",
