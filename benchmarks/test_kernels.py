@@ -190,9 +190,7 @@ def _decode_cell(codec_name: str, bits: int, rng) -> dict:
 
 
 def _headline_run(db, store, streaming: bool) -> dict:
-    engine = CrystalEngine(
-        db, store, streaming=streaming, stream_workers=4 if streaming else 1
-    )
+    engine = CrystalEngine(db, store, streaming=streaming)
     engine.metrics = MetricsRegistry()
     query = QUERIES["q1.3"]
     best = None
@@ -217,7 +215,7 @@ def _bench_kernels():
     headline = {
         "query": "q1.3",
         "materialized": _headline_run(db, store, streaming=False),
-        "streaming_4w": _headline_run(db, store, streaming=True),
+        "streaming": _headline_run(db, store, streaming=True),
     }
     return cells, headline
 
@@ -225,7 +223,7 @@ def _bench_kernels():
 def test_kernel_backend_speedup(benchmark):
     cells, headline = run_once(benchmark, _bench_kernels)
 
-    mat, stream = headline["materialized"], headline["streaming_4w"]
+    mat, stream = headline["materialized"], headline["streaming"]
     assert stream["groups"] == mat["groups"]
 
     summary = {
@@ -236,11 +234,11 @@ def test_kernel_backend_speedup(benchmark):
         "streaming_headline": {
             "query": headline["query"],
             "wall_ms_materialized": mat["wall_ms"],
-            "wall_ms_streaming_4w": stream["wall_ms"],
+            "wall_ms_streaming": stream["wall_ms"],
             "wall_speedup": mat["wall_ms"] / stream["wall_ms"],
             "fused_kernels_materialized": mat["fused_kernels"],
-            "fused_kernels_streaming_4w": stream["fused_kernels"],
-            "fused_rows_streaming_4w": stream["fused_rows"],
+            "fused_kernels_streaming": stream["fused_kernels"],
+            "fused_rows_streaming": stream["fused_rows"],
             "identical_results": True,
         },
     }

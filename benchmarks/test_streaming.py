@@ -1,10 +1,10 @@
 """Morsel streaming vs materialized execution: wall clock and peak bytes.
 
 Runs SSB queries over an orderdate-sorted ``gpu-star`` fact table through
-the default (column-at-a-time materializing) path and the morsel-parallel
-streaming executor at several worker counts, asserting bit-identical
-answers everywhere, a wall-clock win on the selective flight-1 scans, and
-a much smaller peak decoded-intermediate footprint.  Emits
+the default (column-at-a-time materializing) path and the morsel
+streaming executor, asserting bit-identical answers, a wall-clock win on
+the selective flight-1 scans, and a much smaller peak decoded-intermediate
+footprint.  Emits
 ``BENCH_streaming.json`` as the perf baseline future PRs compare against.
 
 The headline is q1.3 (one week of dates: pushdown leaves a handful of
@@ -15,7 +15,6 @@ per-morsel plan-replay overhead shows.
 Environment knobs:
     REPRO_STREAMING_SF      — SSB scale factor (default 0.1)
     REPRO_STREAMING_REPS    — timing repetitions per mode (default 5)
-    REPRO_STREAMING_WORKERS — comma-separated worker counts (default 1,2,8)
 """
 
 from __future__ import annotations
@@ -33,9 +32,6 @@ from repro.ssb.loader import load_lineorder
 
 STREAMING_SF = float(os.environ.get("REPRO_STREAMING_SF", "0.1"))
 REPS = int(os.environ.get("REPRO_STREAMING_REPS", "5"))
-WORKERS = tuple(
-    int(w) for w in os.environ.get("REPRO_STREAMING_WORKERS", "1,2,8").split(",")
-)
 OUTPUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_streaming.json"
 
 #: Flight-1 scans are the headline candidates; q2.1 is the unselective
@@ -67,8 +63,8 @@ def _materialized_run(db, store, name):
     return best
 
 
-def _streaming_run(db, store, name, workers):
-    engine = CrystalEngine(db, store, streaming=True, stream_workers=workers)
+def _streaming_run(db, store, name):
+    engine = CrystalEngine(db, store, streaming=True)
     query = QUERIES[name]
     best = None
     for _ in range(REPS):
@@ -92,7 +88,7 @@ def _bench_streaming():
     for name in BENCH_QUERIES:
         per_query[name] = {
             "materialized": _materialized_run(db, store, name),
-            "streaming": {w: _streaming_run(db, store, name, w) for w in WORKERS},
+            "streaming": _streaming_run(db, store, name),
         }
     return db, per_query
 
@@ -102,27 +98,21 @@ def test_streaming_vs_materialized(benchmark):
 
     summary = {
         "scale_factor_rows": int(db.num_lineorder_rows),
-        "workers": list(WORKERS),
         "queries": {},
     }
     for name, modes in per_query.items():
         mat = modes["materialized"]
-        streams = modes["streaming"]
-        # Bit-identical answers at every worker count.
-        for w, s in streams.items():
-            assert s["groups"] == mat["groups"], (name, w)
-        best_wall = min(s["wall_ms"] for s in streams.values())
-        min_peak = min(s["peak_bytes"] for s in streams.values())
+        stream = modes["streaming"]
+        assert stream["groups"] == mat["groups"], name
+        peak = stream["peak_bytes"]
         summary["queries"][name] = {
             "wall_ms_materialized": mat["wall_ms"],
-            "wall_ms_streaming": {str(w): s["wall_ms"] for w, s in streams.items()},
-            "wall_speedup": mat["wall_ms"] / best_wall,
+            "wall_ms_streaming": stream["wall_ms"],
+            "wall_speedup": mat["wall_ms"] / stream["wall_ms"],
             "peak_bytes_materialized": mat["peak_bytes"],
-            "peak_bytes_streaming": {
-                str(w): s["peak_bytes"] for w, s in streams.items()
-            },
-            "peak_ratio": mat["peak_bytes"] / min_peak if min_peak else None,
-            "morsels": {str(w): s["morsels"] for w, s in streams.items()},
+            "peak_bytes_streaming": peak,
+            "peak_ratio": mat["peak_bytes"] / peak if peak else None,
+            "morsels": stream["morsels"],
             "identical_results": True,
         }
 
@@ -138,7 +128,7 @@ def test_streaming_vs_materialized(benchmark):
     lines = [
         f"{name}: {q['wall_speedup']:.2f}x wall, "
         f"peak {q['peak_bytes_materialized'] / 1e6:.1f} -> "
-        f"{min(int(v) for v in q['peak_bytes_streaming'].values()) / 1e6:.1f} MB"
+        f"{q['peak_bytes_streaming'] / 1e6:.1f} MB"
         for name, q in summary["queries"].items()
     ]
     print("\nstreaming: " + "; ".join(lines) + f" -> {OUTPUT_PATH.name}")

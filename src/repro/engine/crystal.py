@@ -140,7 +140,7 @@ class CrystalEngine:
         pool: "ColumnPool | None" = None,
         pushdown: bool = True,
         streaming: bool = False,
-        stream_workers: int = 4,
+        stream_workers: int = 1,
         morsel_tiles: int | None = None,
         kernel_backend: str | None = None,
     ):
@@ -154,15 +154,17 @@ class CrystalEngine:
         #: Whether :meth:`FactPipeline.filter_pushdown` may skip tiles
         #: from codec bounds; off, queries run the unpruned plan.
         self.pushdown = pushdown
-        #: Route :meth:`run` through the morsel-parallel streaming
+        #: Route :meth:`run` through the morsel streaming
         #: executor (tile-chunk-at-a-time, the paper's fused shape)
         #: instead of column-at-a-time materialization.  Answers are
         #: bit-identical either way; only peak memory and wall clock
         #: differ.  Ignored for staged and decompress-first systems,
         #: which have no tile-fused plan to stream.
         self.streaming = streaming
-        #: Worker threads the streaming executor runs morsels on.
-        self.stream_workers = stream_workers
+        # ``stream_workers`` is deprecated: morsels always run on the
+        # calling thread, so it is only range-checked, then ignored.
+        if stream_workers < 1:
+            raise ValueError(f"stream_workers must be >= 1, got {stream_workers}")
         #: Engine tiles per morsel (``None`` = executor default).
         self.morsel_tiles = morsel_tiles
         # Bit-packing kernel backend (process-global: the backend layer
@@ -195,15 +197,15 @@ class CrystalEngine:
         #: Stats dict of the most recent streaming run (see
         #: ``TileStreamExecutor.last_stats``); empty before any.
         self.last_stream_stats: dict = {}
-        # Reused across queries so worker threads and per-worker decode
-        # arenas persist: steady-state streaming allocates nothing.
+        # Reused across queries so its decode arena persists:
+        # steady-state streaming allocates nothing.
         self._stream_executor = None
         self.num_rows = db.num_lineorder_rows
         self.num_tiles = -(-self.num_rows // TILE)
         self._tile_bytes_cache: dict[str, np.ndarray] = {}
         self._decoded_cache: dict[str, np.ndarray] = {}
         self._bounds_cache: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        # Morsel workers read these caches concurrently; the lock makes
+        # Serving threads may read these caches concurrently; the lock makes
         # the fill-on-miss paths safe (the dicts only ever grow).
         self._cache_lock = threading.Lock()
         self._staged = store.system == "omnisci"
@@ -264,7 +266,7 @@ class CrystalEngine:
             with self._cache_lock:
                 self._decoded_cache.pop(name, None)
         values = self._decode_column(col)
-        # setdefault under the lock: two racing workers may both decode,
+        # setdefault under the lock: two racing threads may both decode,
         # but every caller then sees the same image.
         with self._cache_lock:
             return self._decoded_cache.setdefault(name, values)
@@ -795,18 +797,13 @@ class CrystalEngine:
         from repro.engine.streaming import TileStreamExecutor
 
         executor = self._stream_executor
-        if executor is not None and (
-            executor.workers != self.stream_workers
-            or (self.morsel_tiles is not None
-                and executor.morsel_tiles != self.morsel_tiles)
+        if executor is None or (
+            (self.morsel_tiles is not None
+             and executor.morsel_tiles != self.morsel_tiles)
             or executor.metrics is not self.metrics
         ):
-            executor.close()
-            executor = None
-        if executor is None:
             executor = TileStreamExecutor(
                 self,
-                workers=self.stream_workers,
                 morsel_tiles=self.morsel_tiles,
                 metrics=self.metrics,
             )
@@ -822,8 +819,8 @@ class CrystalEngine:
     def trim_stream_arenas(self, max_bytes: int = 0) -> int:
         """Release streaming decode-arena scratch down to ``max_bytes``.
 
-        Worker arenas grow to the largest column chunk ever decoded and
-        otherwise hold that memory forever; serving layers call this
+        The arena grows to the largest column chunk ever decoded and
+        otherwise holds that memory forever; serving layers call this
         between query bursts (or the pool does, on eviction of the
         accounting resident) to give it back.  Returns bytes released.
         """
@@ -836,11 +833,11 @@ class CrystalEngine:
         return released
 
     def _account_stream_arenas(self) -> None:
-        """Mirror worker-arena scratch bytes into the serving pool budget.
+        """Mirror decode-arena scratch bytes into the serving pool budget.
 
-        The arenas are working memory, not cache, but they occupy the
-        same device budget as pool residents — so they are accounted as
-        a payload-less resident whose ``release`` callback trims them.
+        The arena is working memory, not cache, but it occupies the
+        same device budget as pool residents — so it is accounted as
+        a payload-less resident whose ``release`` callback trims it.
         Under memory pressure the pool evicts the entry, the callback
         frees the scratch, and the budget is truthful again.
         """

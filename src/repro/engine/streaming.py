@@ -1,4 +1,4 @@
-"""Fused tile-streaming query execution with a morsel-parallel executor.
+"""Fused tile-streaming query execution, one morsel at a time.
 
 The paper's central claim (Sections 3 and 7) is that decompression is a
 *device function*: a tile is decoded in shared memory and filtered,
@@ -17,26 +17,25 @@ This module executes the same plans tile-chunk-by-tile-chunk:
 2. The surviving tiles are partitioned into contiguous **morsels** of
    ``morsel_tiles`` engine tiles.  Each morsel re-runs the query
    function against a morsel-scoped pipeline that decodes only its own
-   chunk of each needed column — into a per-worker
-   :class:`~repro.formats.base.DecodeArena` via ``decode_range_into``,
-   so steady state allocates nothing — then filters, probes and
-   accumulates partial aggregates over just those rows.
+   slice of each needed column — with one codec call per slice, into
+   the executor's :class:`~repro.formats.base.DecodeArena`, so steady
+   state allocates nothing — then filters, probes and accumulates
+   partial aggregates over just those rows.
 3. Partials are merged **in deterministic morsel order** with exact
    integer arithmetic, so answers are bit-identical to the materialized
-   path at any worker count; one fused fact kernel is then priced from
-   the merged accounting (same launch count as the materialized plan).
+   path; one fused fact kernel is then priced from the merged
+   accounting (same launch count as the materialized plan).
 
-Morsels run on a ``ThreadPoolExecutor``: the NumPy kernels doing the
-heavy lifting drop the GIL, so decode and filter work overlaps across
-workers.  Only the coordinator thread ever touches the simulated
-``GPUDevice`` (it is not thread-safe); workers do pure array work.
+Morsels run on the calling (serving) thread, the host analogue of the
+paper's one kernel launched over the grid of tiles.  A morsel's body is
+thousands of small NumPy calls that hold the GIL, so a thread pool made
+it slower, not faster; the simulated ``GPUDevice`` is only ever touched
+from that one thread.
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,7 +114,7 @@ class _PlanPipeline(FactPipeline):
     def _tile_read_bytes(self, name: str) -> np.ndarray:
         # Loads read nothing here: the morsels account the payload reads
         # over their own surviving tiles.  (Also warms the engine's
-        # per-tile traffic cache so workers only ever read it.)
+        # per-tile traffic cache so morsels only ever read it.)
         self.engine.tile_read_bytes(name)
         return np.zeros(0, dtype=np.int64)
 
@@ -189,7 +188,7 @@ class _MorselPipeline(FactPipeline):
     """A :class:`FactPipeline` over one morsel's rows.
 
     Inherits the plan pass's surviving tile set, decodes column chunks
-    into the worker's arena, and records which aggregate ops ran so the
+    into the executor's arena, and records which aggregate ops ran so the
     executor knows how to merge the partial results.
     """
 
@@ -391,30 +390,26 @@ class StreamPlan:
     agg_ops: tuple[str, ...] = ()
 
 
-def _mask_runs(mask: np.ndarray) -> list[tuple[int, int]]:
-    """Contiguous ``[lo, hi)`` runs of True in a boolean mask."""
-    idx = np.flatnonzero(mask)
-    if idx.size == 0:
-        return []
-    breaks = np.flatnonzero(np.diff(idx) > 1)
-    starts = np.concatenate([idx[:1], idx[breaks + 1]])
-    ends = np.concatenate([idx[breaks], idx[-1:]]) + 1
-    return list(zip(starts.tolist(), ends.tolist()))
-
-
 class TileStreamExecutor:
-    """Runs one query's plan morsel-by-morsel over the surviving tiles."""
+    """Runs one query's plan morsel-by-morsel over the surviving tiles.
+
+    Every morsel runs on the calling thread and decodes into the one
+    :class:`~repro.formats.base.DecodeArena` the executor owns, so an
+    executor runs one query at a time (the serving layer serialises
+    engine access).
+    """
+
+    #: Threads morsels run on: always the caller's one (trace spans
+    #: report it next to each ``run_morsels`` call).
+    workers = 1
 
     def __init__(
         self,
         engine: CrystalEngine,
-        workers: int = 4,
         morsel_tiles: int | None = None,
         metrics=None,
         tile_span: tuple[int, int] | None = None,
     ):
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
         morsel_tiles = DEFAULT_MORSEL_TILES if morsel_tiles is None else morsel_tiles
         if morsel_tiles < 1:
             raise ValueError(f"morsel_tiles must be >= 1, got {morsel_tiles}")
@@ -426,7 +421,6 @@ class TileStreamExecutor:
                 )
             tile_span = (lo, hi)
         self.engine = engine
-        self.workers = workers
         self.morsel_tiles = morsel_tiles
         self.metrics = metrics
         #: Engine-tile range ``[lo, hi)`` this executor is restricted to
@@ -439,47 +433,28 @@ class TileStreamExecutor:
         self.tile_active = np.ones(0, dtype=bool)
         #: Stats of the most recent execute() call.
         self.last_stats: dict = {}
-        self._tls = threading.local()
-        self._arena_lock = threading.Lock()
-        self._arenas: list[DecodeArena] = []
-        self._pool: ThreadPoolExecutor | None = None
+        self._arena = DecodeArena()
 
-    # -- worker-side decode -------------------------------------------------
-
-    def _arena(self) -> DecodeArena:
-        arena = getattr(self._tls, "arena", None)
-        if arena is None:
-            arena = DecodeArena()
-            self._tls.arena = arena
-            with self._arena_lock:
-                self._arenas.append(arena)
-        return arena
+    # -- decode -------------------------------------------------------------
 
     @property
     def peak_decoded_bytes(self) -> int:
-        """Bytes held across every worker's arena (buffers only grow
-        between :meth:`trim_arenas` calls, so this is also the peak
+        """Bytes held in the decode arena (buffers only grow between
+        :meth:`trim_arenas` calls, so this is also the peak
         decoded-intermediate footprint since the last trim)."""
-        with self._arena_lock:
-            return sum(a.resident_bytes for a in self._arenas)
+        return self._arena.resident_bytes
 
     def trim_arenas(self, max_bytes: int = 0) -> int:
-        """Release worker arena scratch down to ``max_bytes`` total.
+        """Release decode-arena scratch down to ``max_bytes``.
 
         Arena buffers grow to the largest chunk ever decoded and are
         otherwise held forever; serving layers call this between query
-        bursts to return the memory.  The budget is split evenly across
-        workers (each arena trims to its share, largest buffers first).
-        Safe against concurrent morsels: buffers a worker borrowed stay
-        valid, only the arena's references are dropped.  Returns the
-        number of bytes released.
+        bursts to return the memory, and the pool's eviction hook may
+        call it from another thread.  Only the arena's references are
+        dropped: a buffer a running morsel borrowed stays valid.
+        Returns the number of bytes released.
         """
-        with self._arena_lock:
-            arenas = list(self._arenas)
-        if not arenas:
-            return 0
-        share = max(0, max_bytes) // len(arenas)
-        return sum(arena.trim(share) for arena in arenas)
+        return self._arena.trim(max(0, max_bytes))
 
     def decode_slice(
         self,
@@ -489,12 +464,12 @@ class TileStreamExecutor:
         predicate=None,
         col=None,
     ):
-        """Decode one column's chunk for a morsel into the worker's arena.
+        """Decode one column's chunk for a morsel into the executor's arena.
 
-        Covers the codec tiles overlapping ``[row_lo, row_hi)``; codec
-        tiles whose engine tiles were all pruned stay zero-filled (their
-        rows are dead in the morsel's mask by construction).  Returns a
-        view of exactly the morsel's rows.
+        Covers the codec tiles overlapping ``[row_lo, row_hi)`` with one
+        codec call; codec tiles whose engine tiles were all pruned stay
+        zero-filled (their rows are dead in the morsel's mask by
+        construction).  Returns a view of exactly the morsel's rows.
 
         With a ``predicate``, the filter is fused into the decode via the
         codec's ``decode_filter_tiles_into`` and the return value becomes
@@ -526,17 +501,15 @@ class TileStreamExecutor:
         r0, r1 = morsel.row_lo, morsel.row_hi
         c0 = r0 // elems
         c1 = min(-(-r1 // elems), codec.num_tiles(enc))
-        arena = self._arena()
         cap = (c1 - c0) * elems
-        buf = arena.scratch(name, cap)
-        view = buf[:cap]
+        buf = self._arena.scratch(name, cap)
         mask_buf = None
         if predicate is not None:
-            mask_buf = arena.scratch(f"mask/{name}", cap, dtype=np.bool_)
+            mask_buf = self._arena.scratch(f"mask/{name}", cap, dtype=np.bool_)
         try:
             with corruption_guard(name):
                 self._decode_chunk(
-                    codec, enc, c0, c1, elems, view,
+                    codec, enc, c0, elems, buf[:cap],
                     codec_tile_activity(
                         tile_active, elems, c1 - c0,
                         lead=(morsel.tile_lo * TILE - c0 * elems) // TILE,
@@ -545,9 +518,8 @@ class TileStreamExecutor:
                     None if mask_buf is None else mask_buf[:cap],
                 )
         except CorruptTileError as exc:
-            # Re-raise with the owning morsel span so the coordinator
-            # (and the client) can see exactly which slice of which
-            # worker died, instead of an anonymous thread-pool failure.
+            # Re-raise with the owning morsel span so the client can see
+            # exactly which slice of which morsel died.
             raise CorruptTileError(
                 exc.column,
                 exc.tile_id,
@@ -563,39 +535,48 @@ class TileStreamExecutor:
         return vals
 
     def _decode_chunk(
-        self, codec, enc, c0, c1, elems, view, active, predicate, mview
+        self, codec, enc, c0, elems, view, active, predicate, mview
     ) -> None:
-        """Decode codec tiles [c0, c1) into ``view``, plain or fused."""
-        if predicate is None:
-            if active.all():
-                codec.decode_range_into(enc, c0, c1, view)
-            else:
-                view[:] = 0
-                for lo, hi in _mask_runs(active):
-                    # Chunks before the column's final tile are always
-                    # full, so each run's values land exactly at its
-                    # tile offset.
-                    codec.decode_tiles_into(
-                        enc, np.arange(c0 + lo, c0 + hi), view[lo * elems :]
-                    )
-            return
-        fused_rows = 0
-        if active.all():
-            fused_rows = codec.decode_filter_tiles_into(
-                enc, np.arange(c0, c1), predicate, view, mview
-            )
+        """Decode the active codec tiles of ``[c0, c0 + active.size)`` into
+        ``view`` with one codec call, plain or fused.
+
+        Inactive tiles read as zero (and False in ``mview``).  When the
+        active tiles are all of them or one contiguous run, the call
+        writes straight at the run's offset; otherwise it decodes into
+        arena scratch and the tiles are copied into place.  Only the
+        column's final tile can be partial and it is always last, so every
+        decoded tile sits at a whole multiple of ``elems``.
+        """
+        tiles = np.flatnonzero(active)
+        n = tiles.size
+        targets = (view,) if predicate is None else (view, mview)
+        in_place = n == 0 or tiles[-1] - tiles[0] + 1 == n
+        if in_place:
+            lo = int(tiles[0]) * elems if n else 0
+            for target in targets:
+                target[:lo] = 0
+                target[lo + n * elems :] = 0
+            outs = [target[lo:] for target in targets]
         else:
-            view[:] = 0
-            mview[:] = False
-            for lo, hi in _mask_runs(active):
-                fused_rows += codec.decode_filter_tiles_into(
-                    enc,
-                    np.arange(c0 + lo, c0 + hi),
-                    predicate,
-                    view[lo * elems :],
-                    mview[lo * elems :],
-                )
-        self.engine.count_fused_kernel(fused_rows)
+            outs = [
+                self._arena.scratch(f"scatter/{target.dtype}", n * elems, target.dtype)
+                for target in targets
+            ]
+        rows = self._decode_tiles(codec, enc, c0 + tiles, predicate, *outs) if n else 0
+        if not in_place:
+            for target, out in zip(targets, outs):
+                dest = target.reshape(-1, elems)
+                dest[~active] = 0
+                dest[tiles] = out[: n * elems].reshape(n, elems)
+        if predicate is not None:
+            self.engine.count_fused_kernel(rows)
+
+    @staticmethod
+    def _decode_tiles(codec, enc, tiles, predicate, out, mask=None) -> int:
+        """The one codec call of a column slice; returns values written."""
+        if predicate is None:
+            return codec.decode_tiles_into(enc, tiles, out)
+        return codec.decode_filter_tiles_into(enc, tiles, predicate, out, mask)
 
     # -- orchestration ------------------------------------------------------
 
@@ -658,8 +639,8 @@ class TileStreamExecutor:
             active[: self.tile_span[0]] = False
             active[self.tile_span[1] :] = False
         self.tile_active = active
-        # Warm the shared metadata caches from the coordinator so morsel
-        # workers only ever read them (bounds were warmed by pushdown).
+        # Warm the metadata caches once per plan so morsels only ever
+        # read them (bounds were warmed by pushdown).
         for name in query.columns:
             engine.tile_read_bytes(name)
         # Queries may declare a plan_key grouping structurally identical
@@ -694,38 +675,21 @@ class TileStreamExecutor:
     def run_morsels(
         self, plan: StreamPlan, morsels: list[Morsel]
     ) -> list[_MorselOutcome]:
-        """Execute a subset of the plan's morsels; outcomes align positionally.
+        """Execute a subset of the plan's morsels, in order, on this thread.
 
-        The subset keeps the original morsel indices, so errors still
-        surface deterministically (first in global morsel order).
+        Outcomes align positionally with ``morsels``.  The first failing
+        morsel stops the run; it is counted in
+        ``streaming_morsel_failures`` before its error propagates.
         """
         query, engine_plan = plan.query, plan.engine_plan
-        pos = {m.index: i for i, m in enumerate(morsels)}
-        outcomes: list[_MorselOutcome] = [None] * len(morsels)  # type: ignore[list-item]
-        if self.workers == 1 or len(morsels) <= 1:
-            for m in morsels:
-                outcomes[pos[m.index]] = self._run_morsel(query, engine_plan, m)
-        else:
-            pool = self._ensure_pool()
-            futures = [
-                (m, pool.submit(self._run_morsel, query, engine_plan, m))
-                for m in morsels
-            ]
-            # Gather every future before raising: a corrupt morsel must
-            # not leave siblings running against shared arenas, and the
-            # error surfaced must be deterministic (first in morsel
-            # order), not whichever worker lost the race.
-            errors: list[tuple[int, BaseException]] = []
-            for m, fut in futures:
-                try:
-                    outcomes[pos[m.index]] = fut.result()
-                except Exception as exc:
-                    errors.append((m.index, exc))
-            if errors:
+        outcomes: list[_MorselOutcome] = []
+        for m in morsels:
+            try:
+                outcomes.append(self._run_morsel(query, engine_plan, m))
+            except Exception:
                 if self.metrics is not None:
-                    self.metrics.inc("streaming_morsel_failures", len(errors))
-                errors.sort(key=lambda pair: pair[0])
-                raise errors[0][1]
+                    self.metrics.inc("streaming_morsel_failures")
+                raise
         return outcomes
 
     def publish_stats(
@@ -741,7 +705,6 @@ class TileStreamExecutor:
         span_lo, span_hi = self._span()
         self.last_stats = {
             "query": plan.query.name,
-            "workers": self.workers,
             "morsel_tiles": self.morsel_tiles,
             "tiles_total": int(engine.num_tiles),
             "tiles_span": int(span_hi - span_lo),
@@ -762,7 +725,7 @@ class TileStreamExecutor:
             self.metrics.gauge_max("streaming_peak_decoded_bytes", int(peak))
 
     def execute(self, query: SSBQuery) -> dict[int, int]:
-        """Run ``query`` morsel-parallel; returns the merged aggregates."""
+        """Run ``query`` morsel by morsel; returns the merged aggregates."""
         plan = self.plan(query)
         t0 = time.perf_counter()
         outcomes = self.run_morsels(plan, plan.morsels)
@@ -774,20 +737,6 @@ class TileStreamExecutor:
         self._price_fused_kernel(query, plan.ppipe, [o.pipeline for o in outcomes])
         self.publish_stats(plan, outcomes, exec_ms)
         return merged
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.workers, thread_name_prefix="morsel"
-            )
-        return self._pool
-
-    def close(self) -> None:
-        """Shut the worker pool down (idempotent; a fresh one is created
-        lazily if the executor is used again)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
 
     # -- merge + pricing ----------------------------------------------------
 
@@ -807,7 +756,7 @@ class TileStreamExecutor:
         aggregate's identity ({0: 0} for total sums, {} for grouped), so
         the empty-after-pushdown case falls out for free.  Sums combine
         as Python ints (arbitrary precision — no float re-rounding), so
-        the result is independent of worker count and bit-identical to
+        the result is independent of morsel width and bit-identical to
         the materialized single-pass answer.
         """
         ops = {op for agg_ops, _ in parts for op in agg_ops}

@@ -46,7 +46,6 @@ def run(
     db: SSBDatabase | None = None,
     scale_factor: float = 0.05,
     seed: int = 7,
-    workers: int = 4,
     repeats: int = 3,
 ) -> dict:
     """Run the 13-flight mix hand-written vs compiled; returns a summary.
@@ -65,7 +64,7 @@ def run(
         compiled[name] = compiler.compile(SSB_SPECS[name])
         compile_ms += (time.perf_counter() - t0) * 1e3
 
-    engine = CrystalEngine(db, store, streaming=True, stream_workers=workers)
+    engine = CrystalEngine(db, store, streaming=True)
     rows, mismatches = [], []
     for name in QUERIES:
         hand_ms, hand_groups = _best_of(engine, QUERIES[name], repeats)
@@ -94,7 +93,6 @@ def run(
         "rows": rows,
         "num_queries": len(rows),
         "num_rows": int(db.num_lineorder_rows),
-        "workers": workers,
         "repeats": repeats,
         "compile_ms_total": compile_ms,
         "hand_ms_total": hand_total,

@@ -84,7 +84,6 @@ def run(
     db: SSBDatabase | None = None,
     scale_factor: float = 0.05,
     seed: int = 7,
-    workers: int = 4,
     morsel_tiles: int = DEFAULT_MORSEL_TILES,
     budget_bytes: int = DEFAULT_SEMCACHE_BUDGET,
 ) -> dict:
@@ -100,10 +99,7 @@ def run(
     workload = build_workload()
 
     def fresh_engine() -> CrystalEngine:
-        return CrystalEngine(
-            db, store, streaming=True, stream_workers=workers,
-            morsel_tiles=morsel_tiles,
-        )
+        return CrystalEngine(db, store, streaming=True, morsel_tiles=morsel_tiles)
 
     cold_ms, reference = _timed_pass(fresh_engine(), workload)
 
@@ -161,7 +157,6 @@ def run(
         "num_queries": len(workload),
         "num_rows": int(db.num_lineorder_rows),
         "morsel_tiles": morsel_tiles,
-        "workers": workers,
         "budget_bytes": budget_bytes,
         "cold_ms_total": sum(cold_ms),
         "populate_ms_total": sum(populate_ms),

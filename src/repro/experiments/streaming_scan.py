@@ -3,13 +3,12 @@
 The engine's default host-side execution decodes each fact column into a
 full-length image before filtering (column-at-a-time).  The streaming
 executor runs the same fused plan the way the paper's kernels do
-(Section 3/7): contiguous tile morsels are decoded into small per-worker
+(Section 3/7): contiguous tile morsels are decoded into small reusable
 scratch buffers, filtered, probed and partially aggregated, and the
 partials merge in deterministic morsel order.
 
 For each SSB query this driver reports both paths' wall clock and peak
-decoded-intermediate bytes, checks the answers agree bit for bit at
-every worker count, and reports the worker-scaling of the fastest query.
+decoded-intermediate bytes, and checks the answers agree bit for bit.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from repro.ssb.dbgen import SSBDatabase, generate, sort_lineorder_by
 from repro.ssb.loader import load_lineorder
 
 DEFAULT_QUERIES = ("q1.1", "q1.3", "q2.1", "q3.1", "q4.1")
-DEFAULT_WORKERS = (1, 2, 8)
 
 
 def _best_wall_ms(engine: CrystalEngine, query, reps: int) -> tuple[float, dict]:
@@ -44,7 +42,6 @@ def run(
     scale_factor: float = 0.05,
     seed: int = 7,
     queries=DEFAULT_QUERIES,
-    workers=DEFAULT_WORKERS,
     reps: int = 3,
 ) -> list[dict]:
     """Compare the two execution paths; returns one row per query."""
@@ -54,10 +51,7 @@ def run(
     store = load_lineorder(db, "gpu-star")
 
     materialized = CrystalEngine(db, store)
-    streamers = {
-        w: CrystalEngine(db, store, streaming=True, stream_workers=w)
-        for w in workers
-    }
+    streamer = CrystalEngine(db, store, streaming=True)
 
     rows = []
     for name in queries:
@@ -70,25 +64,19 @@ def run(
             for c in query.columns
             if materialized.column_inline(c)
         )
-        stream_ms = {}
-        stream_peak = 0
-        for w, engine in streamers.items():
-            ms, groups = _best_wall_ms(engine, query, reps)
-            if groups != mat_groups:
-                raise AssertionError(
-                    f"streaming changed the answer for {name} at "
-                    f"{w} workers: {groups} != {mat_groups}"
-                )
-            stream_ms[w] = ms
-            stream_peak = max(
-                stream_peak, engine.last_stream_stats["peak_decoded_bytes"]
+        stream_ms, groups = _best_wall_ms(streamer, query, reps)
+        if groups != mat_groups:
+            raise AssertionError(
+                f"streaming changed the answer for {name}: "
+                f"{groups} != {mat_groups}"
             )
-        best_stream = min(stream_ms.values())
+        # Arenas only grow, so this is the peak across every query so far.
+        stream_peak = streamer.last_stream_stats["peak_decoded_bytes"]
         rows.append({
             "query": name,
             "wall_ms_materialized": mat_ms,
-            **{f"wall_ms_stream_w{w}": ms for w, ms in stream_ms.items()},
-            "wall_speedup": mat_ms / best_stream if best_stream else float("nan"),
+            "wall_ms_stream": stream_ms,
+            "wall_speedup": mat_ms / stream_ms if stream_ms else float("nan"),
             "peak_MB_materialized": mat_peak / 1e6,
             "peak_MB_stream": stream_peak / 1e6,
             "peak_ratio": mat_peak / stream_peak if stream_peak else float("nan"),

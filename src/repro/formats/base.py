@@ -95,7 +95,7 @@ def corruption_guard(column: str, tile_id: int = -1, what: str = "decode"):
     Wrapped around decode entry points so a mangled payload that slips
     past validation (numpy fancy-index misses, shape mismatches, overflow
     in derived offsets, allocation bombs) surfaces as a corruption report
-    instead of an anonymous exception deep inside a worker thread.
+    instead of an anonymous exception deep inside the decoder.
     Existing :class:`CorruptTileError` reports pass through untouched.
     """
     from repro.formats.validate import CorruptTileError
@@ -392,15 +392,15 @@ def compact_tile_chunks_inplace(
 class DecodeArena:
     """Reusable decode scratch — one buffer per column slot.
 
-    The allocation-free decode path's backing store: a morsel worker asks
-    for ``scratch(column, capacity)`` and gets the same buffer back on
-    every subsequent morsel (grown monotonically to the largest request),
-    so steady-state streaming decodes allocate nothing.  One arena serves
-    one worker thread; only :meth:`trim` may be called from another
+    The allocation-free decode path's backing store: a morsel asks for
+    ``scratch(column, capacity)`` and gets the same buffer back on every
+    subsequent morsel (grown monotonically to the largest request), so
+    steady-state streaming decodes allocate nothing.  One arena serves
+    one streaming executor; only :meth:`trim` may be called from another
     thread (the pool's eviction hook), so the buffer map itself is
-    lock-protected — a trimmed-away buffer still borrowed by its worker
-    stays valid (NumPy refcounting) and is simply re-allocated on the
-    next request.
+    lock-protected — a trimmed-away buffer still borrowed by a running
+    morsel stays valid (NumPy refcounting) and is simply re-allocated on
+    the next request.
     """
 
     def __init__(self) -> None:
@@ -428,7 +428,7 @@ class DecodeArena:
     def trim(self, max_bytes: int = 0) -> int:
         """Release scratch until at most ``max_bytes`` remain resident.
 
-        The idle-release hook for long-running servers (per-worker arenas
+        The idle-release hook for long-running servers (streaming arenas
         otherwise pin their peak scratch forever).  Largest buffers go
         first; returns the number of bytes released.
         """

@@ -1,8 +1,8 @@
 """Optional numba-JIT backend (``REPRO_KERNEL_BACKEND=numba``).
 
 A straight scalar transcription of the CUDA extraction loop, compiled
-with ``@njit(nogil=True)`` so streaming decode workers overlap instead
-of serialising on the GIL.  The module always imports — when numba is
+with ``@njit(nogil=True)`` so concurrent decodes (one per shard dispatch
+thread) overlap instead of serialising on the GIL.  The module always imports — when numba is
 absent, :data:`AVAILABLE` is False and :data:`UNAVAILABLE_REASON` says
 why; :func:`repro.formats.kernels.set_backend` then falls back to the
 shift-table backend with a warning rather than failing.

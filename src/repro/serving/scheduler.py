@@ -141,7 +141,12 @@ class _Ticket:
 
 
 class QueryServer:
-    """Admits, batches and executes requests over one shared engine."""
+    """Admits, batches and executes requests over one shared engine.
+
+    ``stream_workers`` is deprecated: streaming morsels run on the serving
+    thread.  Values below 1 still raise ``ValueError``; any other value
+    is ignored.
+    """
 
     def __init__(
         self,
@@ -155,7 +160,7 @@ class QueryServer:
         default_timeout_ms: float | None = None,
         metrics: MetricsRegistry | None = None,
         streaming: bool = False,
-        stream_workers: int = 4,
+        stream_workers: int = 1,
         morsel_tiles: int | None = None,
         max_retries: int = 2,
         retry_backoff_ms: float = 5.0,
@@ -521,7 +526,7 @@ class QueryServer:
         """Release streaming decode-arena scratch down to ``max_bytes``.
 
         Called by the scheduler thread when the queue has stayed empty,
-        and callable directly between workload bursts.  Worker arenas
+        and callable directly between workload bursts.  Decode arenas
         grow to the largest column chunk ever decoded; between bursts
         that memory serves nobody.  Returns the bytes released.
         """

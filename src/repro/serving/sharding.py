@@ -14,7 +14,7 @@ serving stack:
   its own byte-budgeted :class:`~repro.serving.pool.ColumnPool`, a
   :class:`~repro.engine.crystal.CrystalEngine` view of the store, and a
   :class:`~repro.engine.streaming.TileStreamExecutor` restricted to the
-  shard's tile span with its own morsel workers.
+  shard's tile span with its own decode arena.
 * The :class:`ShardRouter` routes each query only to shards whose tile
   ranges survive zone-map pushdown of the query's declared predicate IR
   (:meth:`~repro.engine.crystal.CrystalEngine.surviving_tiles`), runs
@@ -147,7 +147,9 @@ class ShardRouter:
     :attr:`elapsed_ms` is the simulated wall-clock of everything routed
     through it (slowest selected shard per query, plus interconnect
     merges), which a :class:`~repro.serving.scheduler.QueryServer` uses
-    as its serving clock.
+    as its serving clock.  ``stream_workers`` is deprecated and, past its
+    ``>= 1`` check, ignored: each shard runs its morsels on the thread
+    that dispatches it.
     """
 
     def __init__(
@@ -157,7 +159,7 @@ class ShardRouter:
         num_shards: int,
         budget_bytes: int | None = None,
         metrics: MetricsRegistry | None = None,
-        stream_workers: int = 4,
+        stream_workers: int = 1,
         morsel_tiles: int | None = None,
         interconnect_gbps: float = 50.0,
         spec: GPUSpec | None = None,
@@ -226,7 +228,6 @@ class ShardRouter:
                 )
             executor = TileStreamExecutor(
                 engine,
-                workers=stream_workers,
                 morsel_tiles=morsel_tiles,
                 metrics=self.metrics,
                 tile_span=(tile_lo, tile_hi),
@@ -625,9 +626,7 @@ class ShardRouter:
         ]
 
     def close(self) -> None:
-        """Shut down shard executors and the dispatch pool (idempotent)."""
-        for shard in self.shards:
-            shard.executor.close()
+        """Shut down the dispatch pool (idempotent)."""
         if self._dispatch is not None:
             self._dispatch.shutdown(wait=True)
             self._dispatch = None

@@ -264,11 +264,9 @@ class TestAblations:
 
 class TestStreamingScan:
     def test_rows_and_bit_identity(self, small_db):
-        # run() raises AssertionError itself if any worker count ever
+        # run() raises AssertionError itself if streaming ever
         # disagrees with the materialized answer.
-        rows = streaming_scan.run(
-            db=small_db, queries=("q1.1",), workers=(1, 2), reps=1
-        )
+        rows = streaming_scan.run(db=small_db, queries=("q1.1",), reps=1)
         assert len(rows) == 1
         row = rows[0]
         assert row["query"] == "q1.1"

@@ -136,24 +136,24 @@ def test_verify_cached_redecodes_corrupt_image(ssb_db, store):
 def test_streaming_corruption_surfaces_morsel_span(ssb_db, store):
     injector = FaultInjector(seed=7)
     injector.corrupt(store["lo_discount"].payload, "payload-bit")
-    engine = CrystalEngine(ssb_db, store, streaming=True, stream_workers=4)
+    engine = CrystalEngine(ssb_db, store, streaming=True)
     with pytest.raises(CorruptTileError, match="morsel") as excinfo:
         engine.run(QUERIES["q1.1"])
     assert excinfo.value.column == "lo_discount"
     assert excinfo.value.tile_id >= 0 or "metadata" in str(excinfo.value)
-    if engine._stream_executor is not None:
-        engine._stream_executor.close()
 
 
 def test_streaming_server_records_morsel_failures(ssb_db, store):
     injector = FaultInjector(seed=7)
     injector.corrupt(store["lo_discount"].payload, "payload-bit")
-    server = QueryServer(ssb_db, store, streaming=True, stream_workers=4)
-    result = server.serve([ServeRequest("query", "q1.1")])[0]
-    assert result.status == "error"
-    snap = server.metrics_snapshot()
-    assert snap.get("streaming_morsel_failures", 0) >= 1
-    assert snap.get("server_quarantines", 0) == 1
+    # Failures count whatever the deprecated stream_workers keyword says.
+    for kwargs in ({}, {"stream_workers": 1}):
+        server = QueryServer(ssb_db, store, streaming=True, **kwargs)
+        result = server.serve([ServeRequest("query", "q1.1")])[0]
+        assert result.status == "error", kwargs
+        snap = server.metrics_snapshot()
+        assert snap.get("streaming_morsel_failures", 0) >= 1, kwargs
+        assert snap.get("server_quarantines", 0) == 1, kwargs
 
 
 def test_concurrent_corruption_storm_pool_consistent(ssb_db, store):

@@ -136,9 +136,7 @@ class TestQueryFuzz:
         compiler = QueryCompiler(model, db, store=store)
         engines = {
             "materialized": CrystalEngine(db, store),
-            "streaming": CrystalEngine(
-                db, store, streaming=True, stream_workers=2
-            ),
+            "streaming": CrystalEngine(db, store, streaming=True),
         }
         return db, model, compiler, engines
 

@@ -253,8 +253,7 @@ class TestStreamArenaAccounting:
 
         store = load_lineorder(db, "gpu-star")
         pool = ColumnPool(64 * 1024 * 1024)
-        engine = CrystalEngine(db, store, pool=pool, streaming=True,
-                               stream_workers=2)
+        engine = CrystalEngine(db, store, pool=pool, streaming=True)
         engine.run(QUERIES["q1.1"])
         resident = pool.lookup("scratch/stream-arenas")
         assert resident is not None
@@ -280,7 +279,7 @@ class TestServerIdleTrim:
         from repro.serving import QueryServer
 
         store = load_lineorder(db, "gpu-star")
-        server = QueryServer(db, store, streaming=True, stream_workers=2)
+        server = QueryServer(db, store, streaming=True)
         results = server.serve([__import__("repro.serving.scheduler",
                                            fromlist=["ServeRequest"])
                                 .ServeRequest("query", "q1.1")])
@@ -298,7 +297,7 @@ class TestServerIdleTrim:
         from repro.serving import QueryServer
 
         store = load_lineorder(db, "gpu-star")
-        server = QueryServer(db, store, streaming=True, stream_workers=2)
+        server = QueryServer(db, store, streaming=True)
         server.start()
         try:
             from repro.serving.scheduler import ServeRequest
@@ -322,7 +321,7 @@ class TestServerIdleTrim:
         from repro.serving.scheduler import ServeRequest
 
         store = load_lineorder(db, "gpu-star")
-        server = QueryServer(db, store, streaming=True, stream_workers=2,
+        server = QueryServer(db, store, streaming=True,
                              trim_arenas_when_idle=False)
         server.start()
         try:

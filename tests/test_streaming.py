@@ -1,15 +1,17 @@
 """Morsel-streaming execution: out-buffer decode, bit-identity, threads.
 
-Four layers of coverage:
+Five layers of coverage:
 
 * out-buffer decode contract — every tile codec's ``decode_tiles_into``
   must agree with its allocating twin across full ranges, non-contiguous
   subsets, partial last tiles and buffer reuse, and reject undersized or
   mistyped buffers;
+* column-slice decode — ``decode_slice`` makes one codec call per slice,
+  plain or fused, whatever pattern of tiles pushdown left active;
 * streaming vs materialized — for every GPU-* codec and a cross-flight
   query matrix, the streaming executor must return bit-identical
-  aggregates and the same kernel count at every worker count, including
-  unaligned morsel widths and plans whose pushdown prunes every tile;
+  aggregates and the same kernel count, including unaligned morsel
+  widths and plans whose pushdown prunes every tile;
 * merge semantics — min/max partials merge, avg is refused, lookups are
   built exactly once in the plan pass;
 * concurrency — the engine's metadata/decode caches and the serving
@@ -24,10 +26,10 @@ import threading
 import numpy as np
 import pytest
 
-from repro.engine.crystal import CrystalEngine, SSBQuery
+from repro.engine.crystal import TILE, CrystalEngine, SSBQuery
 from repro.engine.predicates import And, Range
 from repro.engine.ssb_queries import QUERIES
-from repro.engine.streaming import DEFAULT_MORSEL_TILES, TileStreamExecutor
+from repro.engine.streaming import DEFAULT_MORSEL_TILES, Morsel, TileStreamExecutor
 from repro.formats.base import DecodeArena, TileCodec
 from repro.formats.registry import get_codec
 from repro.serving.pool import ColumnPool
@@ -123,6 +125,97 @@ class TestDecodeTilesInto:
 
 
 # ---------------------------------------------------------------------------
+# Column-slice decode under fragmented tile activity
+# ---------------------------------------------------------------------------
+
+#: Morsel for the slice tests: the fact table's last 40 engine tiles, so
+#: the slice ends on the column's partial final tile of every codec and
+#: (40 not being a multiple of 8) starts inside a GPU-SIMDBP128 tile.
+SLICE_TILES = 40
+
+
+def _slice_patterns(n: int) -> dict[str, np.ndarray]:
+    """Engine-tile activity patterns over a morsel of ``n`` tiles."""
+    def runs(*spans):
+        active = np.zeros(n, dtype=bool)
+        for lo, hi in spans:
+            active[lo:hi] = True
+        return active
+
+    # Each pattern follows one that decoded rows it must zero again.
+    return {
+        "all": np.ones(n, dtype=bool),
+        "one-run": runs((9, 21)),
+        "none": np.zeros(n, dtype=bool),
+        "run-to-final-tile": runs((n - 6, n)),
+        "several-runs": runs((0, 2), (11, 13), (26, 30)),
+        "runs-to-final-tile": runs((3, 5), (n - 6, n)),
+    }
+
+
+def _count_top_level_decodes(monkeypatch, codec) -> list[str]:
+    """Record each outermost decode_tiles_into / decode_filter_tiles_into
+    call on ``codec`` (a fused base implementation calling the plain one
+    counts once)."""
+    calls: list[str] = []
+    depth = [0]
+    cls = type(codec)
+    for attr in ("decode_tiles_into", "decode_filter_tiles_into"):
+        original = getattr(cls, attr)
+
+        def wrapper(self, *args, _original=original, _attr=attr, **kwargs):
+            if depth[0] == 0:
+                calls.append(_attr)
+            depth[0] += 1
+            try:
+                return _original(self, *args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(cls, attr, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("codec_name", GPU_CODECS)
+@pytest.mark.parametrize("fused", (False, True), ids=("plain", "fused"))
+def test_decode_slice_fragmented_activity(ssb_db, monkeypatch, codec_name, fused):
+    column = "lo_quantity"
+    store = _encoded_store(ssb_db, codec_name, (column,))
+    engine = CrystalEngine(ssb_db, store, streaming=True)
+    executor = TileStreamExecutor(engine)
+    tile_hi = engine.num_tiles
+    tile_lo = tile_hi - SLICE_TILES
+    morsel = Morsel(0, tile_lo, tile_hi, tile_lo * TILE, engine.num_rows)
+    raw = np.asarray(ssb_db.lineorder[column], dtype=np.int64)[morsel.row_lo :]
+    predicate = Range(column, 10, 30) if fused else None
+    enc = store[column].payload
+    codec = get_codec(codec_name)
+    elems = codec.tile_elements(enc)
+    assert enc.count % elems, "the slice must end on a partial codec tile"
+    codec_ids = (morsel.row_lo + np.arange(raw.size)) // elems
+    calls = _count_top_level_decodes(monkeypatch, codec)
+
+    for label, active in _slice_patterns(SLICE_TILES).items():
+        # Rows of a codec tile decode when any engine tile it overlaps
+        # inside the morsel is active; every other row must read 0.
+        engine_rows = np.repeat(active, TILE)[: raw.size]
+        decoded = np.isin(codec_ids, codec_ids[engine_rows])
+        calls.clear()
+        got = executor.decode_slice(column, morsel, active, predicate=predicate)
+        assert len(calls) == int(active.any()), (label, calls)
+        if not fused:
+            assert np.array_equal(got[decoded], raw[decoded]), label
+            assert not got[~decoded].any(), label
+            continue
+        values, mask = got
+        assert mask is not None, "fused decode must engage"
+        assert np.array_equal(mask, predicate.row_mask(raw) & decoded), label
+        # Fused contract: values are only meaningful where the mask holds.
+        assert np.array_equal(values[mask], raw[mask]), label
+        assert not values[~decoded].any(), label
+
+
+# ---------------------------------------------------------------------------
 # Streaming vs materialized bit-identity
 # ---------------------------------------------------------------------------
 
@@ -160,32 +253,28 @@ class TestStreamingBitIdentity:
     def test_matches_materialized_every_worker_count(
         self, codec_store, ssb_db, qname
     ):
+        # Morsels run on one thread whatever the deployment, so the
+        # matrix varies the morsel width instead: the default and an
+        # unaligned 3-tile width that splits codec tiles across morsels.
         codec_name, store = codec_store
         query = QUERIES[qname]
         ref = CrystalEngine(ssb_db, store).run(query)
-        for workers, morsel_tiles in ((1, None), (2, None), (8, None), (2, 3)):
+        for morsel_tiles in (None, 3):
             engine = CrystalEngine(
-                ssb_db,
-                store,
-                streaming=True,
-                stream_workers=workers,
-                morsel_tiles=morsel_tiles,
+                ssb_db, store, streaming=True, morsel_tiles=morsel_tiles
             )
             got = engine.run(query)
-            label = (codec_name, qname, workers, morsel_tiles)
+            label = (codec_name, qname, morsel_tiles)
             assert got.groups == ref.groups, label
             assert got.kernel_count == ref.kernel_count, label
             stats = engine.last_stream_stats
-            assert stats["workers"] == workers
             assert stats["morsels"] == len(stats["morsel_ms"])
             assert stats["peak_decoded_bytes"] > 0
 
     def test_uncompressed_store_streams_too(self, ssb_db, none_store):
         query = QUERIES["q2.1"]
         ref = CrystalEngine(ssb_db, none_store).run(query)
-        engine = CrystalEngine(
-            ssb_db, none_store, streaming=True, stream_workers=4
-        )
+        engine = CrystalEngine(ssb_db, none_store, streaming=True)
         got = engine.run(query)
         assert got.groups == ref.groups
         assert got.kernel_count == ref.kernel_count
@@ -195,9 +284,7 @@ class TestStreamingBitIdentity:
     def test_repeat_runs_reuse_executor_and_stay_identical(
         self, ssb_db, gpu_star_store
     ):
-        engine = CrystalEngine(
-            ssb_db, gpu_star_store, streaming=True, stream_workers=2
-        )
+        engine = CrystalEngine(ssb_db, gpu_star_store, streaming=True)
         query = QUERIES["q1.1"]
         first = engine.run(query).groups
         executor = engine._stream_executor
@@ -224,14 +311,11 @@ class TestStreamingBitIdentity:
         query = SSBQuery("empty", ("lo_orderdate", "lo_extendedprice"), fn)
         ref = CrystalEngine(ssb_db, gpu_star_store).run(query)
         assert ref.groups == {0: 0}
-        for workers in (1, 4):
-            engine = CrystalEngine(
-                ssb_db, gpu_star_store, streaming=True, stream_workers=workers
-            )
-            got = engine.run(query)
-            assert got.groups == {0: 0}
-            assert got.kernel_count == ref.kernel_count
-            assert engine.last_stream_stats["morsels"] == 0
+        engine = CrystalEngine(ssb_db, gpu_star_store, streaming=True)
+        got = engine.run(query)
+        assert got.groups == {0: 0}
+        assert got.kernel_count == ref.kernel_count
+        assert engine.last_stream_stats["morsels"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +346,7 @@ class TestMergeSemantics:
     def test_min_max_partials_merge(self, ssb_db, gpu_star_store, how):
         query = _minmax_query(how)
         ref = CrystalEngine(ssb_db, gpu_star_store).run(query)
-        engine = CrystalEngine(
-            ssb_db, gpu_star_store, streaming=True, stream_workers=4
-        )
+        engine = CrystalEngine(ssb_db, gpu_star_store, streaming=True)
         assert engine.run(query).groups == ref.groups
 
     def test_avg_is_refused(self, ssb_db, gpu_star_store):
@@ -285,9 +367,7 @@ class TestMergeSemantics:
         assert CrystalEngine(ssb_db, gpu_star_store).run(query).groups
 
     def test_lookups_build_once(self, ssb_db, gpu_star_store):
-        engine = CrystalEngine(
-            ssb_db, gpu_star_store, streaming=True, stream_workers=4
-        )
+        engine = CrystalEngine(ssb_db, gpu_star_store, streaming=True)
         before = engine.device.kernel_count
         engine.run(QUERIES["q3.1"])
         names = [
@@ -309,9 +389,9 @@ class TestMergeSemantics:
             assert not gated.uses_streaming()
 
     def test_invalid_config_rejected(self, ssb_db, gpu_star_store):
-        engine = CrystalEngine(ssb_db, gpu_star_store)
         with pytest.raises(ValueError):
-            TileStreamExecutor(engine, workers=0)
+            CrystalEngine(ssb_db, gpu_star_store, stream_workers=0)
+        engine = CrystalEngine(ssb_db, gpu_star_store)
         with pytest.raises(ValueError):
             TileStreamExecutor(engine, morsel_tiles=0)
         assert (
@@ -384,9 +464,7 @@ class TestConcurrentAccess:
         from repro.serving.scheduler import QueryServer, ServeRequest
 
         ref = CrystalEngine(ssb_db, gpu_star_store).run(QUERIES["q1.1"])
-        server = QueryServer(
-            ssb_db, gpu_star_store, streaming=True, stream_workers=2
-        )
+        server = QueryServer(ssb_db, gpu_star_store, streaming=True)
         assert server.engine.uses_streaming()
         results = server.serve([ServeRequest("query", "q1.1")])
         assert results[0].ok
