@@ -40,17 +40,17 @@ BENCH_QUERIES = ("q1.3", "q1.2", "q1.1")
 
 
 def _run_query(db, store, name, pushdown):
-    """Best-of-``REPS`` run: cold decoded data, warm metadata.
+    """Best-of-``REPS`` run: warm metadata, every rep decodes afresh.
 
     One engine per mode keeps zone-map bounds and per-tile traffic
     metadata warm (a serving system derives those once at ingest), while
-    ``evict_decoded()`` before every rep makes each query re-decode from
-    the compressed payload — the cost pushdown is meant to skip.
+    each query decodes its surviving tiles from the compressed payload —
+    the cost pushdown is meant to skip (execution caches no decoded
+    column).
     """
     engine = CrystalEngine(db, store, pushdown=pushdown)
     best = None
     for _ in range(REPS):
-        engine.evict_decoded()
         launches_before = len(engine.device.launches)
         t0 = time.perf_counter()
         result = engine.run(QUERIES[name])

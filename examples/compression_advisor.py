@@ -9,8 +9,6 @@ what every candidate scheme would have cost.
 Run:  python examples/compression_advisor.py
 """
 
-import numpy as np
-
 from repro import ColumnStats, choose_gpu_star, heuristic_scheme
 from repro.workloads import d3_zipf, runs, sorted_keys, uniform_bitwidth
 

@@ -40,7 +40,8 @@ def main(scale_factor: float = 0.01) -> None:
     store = load_lineorder(db, "gpu-star")
 
     # Budget: the compressed store plus ~40% of the decoded working set,
-    # so the pool must evict decoded images while serving.
+    # so the pool must evict (compressed columns, zone maps and the
+    # streaming decode scratch) while serving.
     budget = store.total_bytes + int(0.4 * decoded_working_set_bytes(db))
     print(
         f"budget {budget / 1e6:.1f} MB  "

@@ -61,7 +61,7 @@ EXPERIMENTS = {
     "multigpu": (multigpu_scaling, "extension — sharded SSB scan scaling"),
     "entropy": (lightweight_vs_entropy, "claims — §2.2: lightweight captures most gains"),
     "serving": (serving_workload, "extension — serving layer: pool + scheduler under load"),
-    "streaming": (streaming_scan, "extension — morsel streaming vs materialized execution"),
+    "streaming": (streaming_scan, "extension — morsel streaming: host ms, peak decoded bytes"),
     "semcache": (semcache_workload, "extension — semantic result cache: drill-down reuse"),
     "faults": (fault_injection, "extension — corruption matrix + fault-injected serving"),
     "sharding": (sharding_workload, "extension — sharded serving: tile-range shards + zone-map routing"),

@@ -1,7 +1,6 @@
 """Crystal-style tile-based query engine and the 13 SSB queries."""
 
 from repro.engine.crystal import (
-    DECOMPRESS_FIRST_SYSTEMS,
     TILE,
     CrystalEngine,
     FactPipeline,
@@ -26,7 +25,6 @@ __all__ = [
     "CacheStats",
     "CoprocessorExecutor",
     "CoprocessorResult",
-    "DECOMPRESS_FIRST_SYSTEMS",
     "DeviceCache",
     "block_max_scan",
     "block_prefix_sum",

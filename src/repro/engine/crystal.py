@@ -16,13 +16,18 @@ Three execution styles cover the paper's six systems:
   GPU-BP, which cannot pipeline decompression into the query (Section 9.4);
 * ``staged`` — the OmniSci model: one kernel per operator with row-wise
   column access and a materialized selection bitmap between operators.
+
+:meth:`CrystalEngine.run` executes both ``fused`` styles through the
+morsel streaming executor (``repro.engine.streaming``); only ``staged``
+plans sweep the whole table in one :class:`FactPipeline`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Iterator
 
 import numpy as np
 
@@ -37,10 +42,10 @@ from repro.formats.base import (
     corruption_guard,
     crc32_values,
     exact_tile_bounds,
-    ragged_arange,
     verify_mode,
 )
 from repro.formats.registry import get_codec
+from repro.formats.validate import CorruptTileError
 from repro.gpusim.executor import GPUDevice
 from repro.gpusim.memory import linear_bytes
 from repro.engine.lookup import MISS, Lookup, make_lookup
@@ -71,10 +76,6 @@ D_PER_THREAD = TILE // BLOCK_THREADS
 OMNISCI_EFFICIENCY = 0.24
 #: Extra per-row interpretation ops per OmniSci operator.
 OMNISCI_OP_OVERHEAD = 24
-
-#: Systems whose columns must be decompressed to global memory before the
-#: query kernel can read them.
-DECOMPRESS_FIRST_SYSTEMS = ("nvcomp", "planner", "gpu-bp")
 
 
 @dataclass
@@ -129,6 +130,66 @@ def codec_tile_activity(
     )
 
 
+@dataclass(frozen=True)
+class Morsel:
+    """One contiguous span of the fact table's tile grid.
+
+    A streaming morsel covers ``morsel_tiles`` engine tiles; a
+    whole-table :class:`FactPipeline` is the one span covering them all.
+    """
+
+    index: int
+    tile_lo: int
+    tile_hi: int
+    row_lo: int
+    row_hi: int
+
+
+def _fresh_buffer(key: str, elements: int, dtype=np.int64) -> np.ndarray:
+    """Allocating stand-in for :meth:`DecodeArena.scratch` (``key`` unused)."""
+    return np.empty(max(elements, 1), dtype=dtype)
+
+
+def _decode_chunk(codec, enc, c0, elems, view, active, predicate, mview, scratch) -> int:
+    """Decode the active codec tiles of ``[c0, c0 + active.size)`` into
+    ``view`` with one codec call, plain or fused; returns values written.
+
+    Inactive tiles read as zero (and False in ``mview``).  When the
+    active tiles are all of them or one contiguous run, the call writes
+    straight at the run's offset; otherwise it decodes into ``scratch``
+    and the tiles are copied into place.  Only the column's final tile
+    can be partial and it is always last, so every decoded tile sits at
+    a whole multiple of ``elems``.
+    """
+    tiles = np.flatnonzero(active)
+    n = tiles.size
+    targets = (view,) if predicate is None else (view, mview)
+    in_place = n == 0 or tiles[-1] - tiles[0] + 1 == n
+    if in_place:
+        lo = int(tiles[0]) * elems if n else 0
+        for target in targets:
+            target[:lo] = 0
+            target[lo + n * elems :] = 0
+        outs = [target[lo:] for target in targets]
+    else:
+        outs = [
+            scratch(f"scatter/{target.dtype}", n * elems, target.dtype)
+            for target in targets
+        ]
+    if not n:
+        rows = 0
+    elif predicate is None:
+        rows = codec.decode_tiles_into(enc, c0 + tiles, outs[0])
+    else:
+        rows = codec.decode_filter_tiles_into(enc, c0 + tiles, predicate, *outs)
+    if not in_place:
+        for target, out in zip(targets, outs):
+            dest = target.reshape(-1, elems)
+            dest[~active] = 0
+            dest[tiles] = out[: n * elems].reshape(n, elems)
+    return rows
+
+
 class CrystalEngine:
     """Executes SSB queries over one system's column store."""
 
@@ -139,7 +200,6 @@ class CrystalEngine:
         device: GPUDevice | None = None,
         pool: "ColumnPool | None" = None,
         pushdown: bool = True,
-        streaming: bool = False,
         stream_workers: int = 1,
         morsel_tiles: int | None = None,
         kernel_backend: str | None = None,
@@ -147,20 +207,14 @@ class CrystalEngine:
         self.db = db
         self.store = store
         self.device = device if device is not None else GPUDevice()
-        #: When set, decoded images and tile metadata live as evictable
-        #: residents of the serving layer's ColumnPool instead of the
-        #: unbounded per-engine dicts — device capacity is then enforced.
+        #: When set, tile metadata and the streaming decode scratch live
+        #: as evictable residents of the serving layer's ColumnPool
+        #: instead of the unbounded per-engine dicts — device capacity
+        #: is then enforced.
         self.pool = pool
         #: Whether :meth:`FactPipeline.filter_pushdown` may skip tiles
         #: from codec bounds; off, queries run the unpruned plan.
         self.pushdown = pushdown
-        #: Route :meth:`run` through the morsel streaming
-        #: executor (tile-chunk-at-a-time, the paper's fused shape)
-        #: instead of column-at-a-time materialization.  Answers are
-        #: bit-identical either way; only peak memory and wall clock
-        #: differ.  Ignored for staged and decompress-first systems,
-        #: which have no tile-fused plan to stream.
-        self.streaming = streaming
         # ``stream_workers`` is deprecated: morsels always run on the
         # calling thread, so it is only range-checked, then ignored.
         if stream_workers < 1:
@@ -189,11 +243,14 @@ class CrystalEngine:
         #: before every source decode; used by the robustness tests to
         #: simulate transient decode failures (see serving.faults).
         self.fault_hook = None
-        #: When True, every cached decoded image served from the pool or
-        #: the engine cache is re-verified against the encoded column's
-        #: whole-column CRC; on mismatch the stale image is dropped and
-        #: the column re-decoded from its compressed source.
+        #: When True, a pinned decoded image is re-verified against the
+        #: encoded column's whole-column CRC (once per request, see
+        #: :meth:`request_scope`); on mismatch the pin is dropped and
+        #: the column decodes from its compressed source.
         self.verify_cached = False
+        # Pinned images already verified in the open request scope, by
+        # column name (``None`` outside any scope).
+        self._pin_verdicts: dict[str, np.ndarray] | None = None
         #: Stats dict of the most recent streaming run (see
         #: ``TileStreamExecutor.last_stats``); empty before any.
         self.last_stream_stats: dict = {}
@@ -203,7 +260,6 @@ class CrystalEngine:
         self.num_rows = db.num_lineorder_rows
         self.num_tiles = -(-self.num_rows // TILE)
         self._tile_bytes_cache: dict[str, np.ndarray] = {}
-        self._decoded_cache: dict[str, np.ndarray] = {}
         self._bounds_cache: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         # Serving threads may read these caches concurrently; the lock makes
         # the fill-on-miss paths safe (the dicts only ever grow).
@@ -236,132 +292,60 @@ class CrystalEngine:
         serve slices of the image.  Only tier invalidation removes a
         pinned resident, never eviction — so the pricing and value views
         cannot diverge.
+
+        Under :attr:`verify_cached` the image is checked against its
+        column's CRC first, at most once per :meth:`request_scope`.  A
+        mismatch drops the pin with every derivative of the column
+        (:meth:`invalidate_column`), so pricing and values both fall
+        back to the compressed payload.
         """
         if self.pool is None:
             return None
         resident = self.pool.lookup(f"decoded/{name}")
-        if resident is not None and resident.pin_count > 0:
-            return resident.payload
-        return None
+        if resident is None or resident.pin_count == 0:
+            return None
+        image = resident.payload
+        if self.verify_cached:
+            verdicts = self._pin_verdicts
+            if verdicts is None or verdicts.get(name) is not image:
+                if not self._cached_image_ok(self.store[name], image):
+                    self.invalidate_column(name)
+                    return None
+                if verdicts is not None:
+                    verdicts[name] = image
+        return image
 
-    def column_values(self, name: str) -> np.ndarray:
-        """The decoded values a fact-kernel column load produces.
+    @contextlib.contextmanager
+    def request_scope(self) -> Iterator[None]:
+        """One request: each pinned image is CRC-verified at most once.
 
-        Inline-compressed columns really are decoded from their encoded
-        payload — through the batched ``decode_range`` over the whole
-        tile grid, mirroring the one-thread-block-per-tile kernel — so
-        every query exercises the codec's decode path end to end.  The
-        result is cached: within one engine the column's decoded image is
-        reused across queries, like a device-resident decode buffer.
+        Opened by :meth:`run` and by the serving layer around placement
+        plus execution; nested scopes join the outermost one.  Outside
+        any scope every call verifies.
         """
-        col = self.store[name]
-        if not self.inline_column(col):
-            return col.values
-        if self.pool is not None:
-            return self._pool_decoded(name, col)
-        cached = self._decoded_cache.get(name)
-        if cached is not None:
-            if self._cached_image_ok(col, cached):
-                return cached
-            with self._cache_lock:
-                self._decoded_cache.pop(name, None)
-        values = self._decode_column(col)
-        # setdefault under the lock: two racing threads may both decode,
-        # but every caller then sees the same image.
-        with self._cache_lock:
-            return self._decoded_cache.setdefault(name, values)
-
-    def _decode_column(self, col) -> np.ndarray:
-        if self.fault_hook is not None:
-            self.fault_hook(col.name)
-        codec = get_codec(col.codec_name)
-        assert isinstance(codec, TileCodec)
-        enc = col.payload
-        with corruption_guard(col.name):
-            return codec.decode_range(enc, 0, codec.num_tiles(enc))
+        outer = self._pin_verdicts is None
+        if outer:
+            self._pin_verdicts = {}
+        try:
+            yield
+        finally:
+            if outer:
+                self._pin_verdicts = None
 
     def _cached_image_ok(self, col, values: np.ndarray) -> bool:
-        """Whether a cached decoded image still matches its source CRC.
+        """Whether a decoded image still matches its source CRC.
 
-        Only consulted when :attr:`verify_cached` is on and the encoded
-        payload carries a ``column_crc``; a mismatch (silent in-memory
-        corruption of the decoded image) triggers re-decode from source.
+        A payload without a ``column_crc`` always passes; a mismatch
+        (silent in-memory corruption of the image) is counted in
+        ``decoded_image_refreshes``.
         """
-        if not self.verify_cached:
-            return True
         enc = getattr(col, "payload", None)
         crc = enc.meta.get("column_crc") if isinstance(enc, EncodedColumn) else None
-        if crc is None:
-            return True
-        if crc32_values(values) == int(crc):
+        if crc is None or crc32_values(values) == int(crc):
             return True
         if self.metrics is not None:
             self.metrics.inc("decoded_image_refreshes")
         return False
-
-    def _pool_decoded(self, name: str, col) -> np.ndarray:
-        """Serve the decoded image as an evictable pool resident."""
-        from repro.serving.pool import PoolAdmissionError, estimate_decode_cost_ms
-
-        key = f"decoded/{name}"
-        resident = self.pool.get(key)
-        if resident is not None:
-            if self._cached_image_ok(col, resident.payload):
-                return resident.payload
-            self.pool.invalidate(key)
-        values = self._decode_column(col)
-        try:
-            self.pool.admit(
-                key,
-                values.nbytes,
-                kind="decoded",
-                payload=values,
-                reconstruct_cost_ms=estimate_decode_cost_ms(col.payload, self.device),
-            )
-        except PoolAdmissionError:
-            pass  # image exceeds the whole budget: serve it uncached
-        return values
-
-    def column_values_pruned(self, name: str, tile_active: np.ndarray) -> np.ndarray:
-        """Late-materialized column load: decode only the active tiles.
-
-        Rows of pruned tiles are left zero-filled; the caller must make
-        sure its selection mask excludes them (pushdown only prunes a
-        tile when its bounds prove no row can match, so those rows are
-        dead by construction).  Partial images are never cached — the
-        cache holds only full decoded columns.
-        """
-        col = self.store[name]
-        if not self.inline_column(col):
-            return col.values
-        tile_active = np.asarray(tile_active, dtype=bool)
-        if tile_active.all():
-            return self.column_values(name)
-        # A cached full image is strictly better than a partial decode.
-        if self.pool is not None:
-            if self.pool.lookup(f"decoded/{name}") is not None:
-                resident = self.pool.get(f"decoded/{name}")
-                if resident is not None:
-                    return resident.payload
-        else:
-            cached = self._decoded_cache.get(name)
-            if cached is not None:
-                return cached
-        codec = get_codec(col.codec_name)
-        assert isinstance(codec, TileCodec)
-        enc = col.payload
-        elems = codec.tile_elements(enc)
-        idx = np.flatnonzero(
-            codec_tile_activity(tile_active, elems, codec.num_tiles(enc))
-        )
-        out = np.zeros(enc.count, dtype=enc.dtype)
-        if idx.size:
-            with corruption_guard(name):
-                vals = codec.decode_tiles(enc, idx)
-            lens = np.minimum((idx + 1) * elems, enc.count) - idx * elems
-            pos = np.repeat(idx * elems, lens) + ragged_arange(lens)
-            out[pos] = vals
-        return out
 
     def fusion_allowed(self, enc) -> bool:
         """Whether fused decode+filter may serve this encoded column.
@@ -380,60 +364,95 @@ class CrystalEngine:
             self.metrics.inc("fused_decode_filter_kernels")
             self.metrics.inc("fused_decode_filter_rows", rows)
 
-    def column_values_filtered(
-        self, name: str, tile_active: np.ndarray, predicate
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        """Fused late-materialized load: decode + filter in one pass.
+    def decode_span(
+        self,
+        name: str,
+        span: "Morsel",
+        tile_active: np.ndarray,
+        predicate=None,
+        col: StoredColumn | None = None,
+        scratch: Callable[..., np.ndarray] | None = None,
+    ):
+        """Decode one column over a span of the tile grid.
 
-        Like :meth:`column_values_pruned` but evaluates ``predicate``
-        *during* unpack via the codec's ``decode_filter_tiles_into``,
-        returning ``(values, rowmask)`` where ``rowmask`` marks the
-        qualifying rows over the whole span.  Values are only meaningful
-        where the mask is True.  Returns ``(values, None)`` — caller
-        must evaluate the predicate itself — whenever fusion cannot
-        apply: uncompressed columns, cached full decoded images (reusing
-        them beats re-decoding), or checksummed columns under active
-        verification (see :meth:`fusion_allowed`).
+        The one column-load routine of every fact pipeline: a streaming
+        morsel decodes its span into the executor's arena (``scratch`` is
+        :meth:`DecodeArena.scratch <repro.formats.base.DecodeArena.scratch>`),
+        a whole-table pipeline is the one span covering the table and
+        decodes into fresh buffers (``scratch=None``).
+
+        Covers the codec tiles overlapping ``[row_lo, row_hi)`` with one
+        codec call; codec tiles whose engine tiles were all pruned stay
+        zero-filled (their rows are dead in the span's mask by
+        construction).  Returns a view of exactly the span's rows.
+
+        With a ``predicate``, the filter is fused into the decode via the
+        codec's ``decode_filter_tiles_into`` and the return value becomes
+        ``(values, rowmask)`` views — or ``(values, None)`` when fusion
+        cannot apply (checksummed column under active verification), in
+        which case the caller evaluates the predicate itself.
+
+        ``col`` pins the caller's :class:`StoredColumn` snapshot so one
+        object serves both the inline check and the decode; without it a
+        fresh snapshot is taken here.  Either way a column that is no
+        longer tile-encoded (a racing tier swap published an uncompressed
+        or cold image) degrades to a plain values slice — bit-identical
+        by the swap's contract, never a torn decode.
         """
-        col = self.store[name]
-        if not self.inline_column(col):
-            return col.values, None
-        enc = col.payload
-        if not self.fusion_allowed(enc):
-            return self.column_values_pruned(name, tile_active), None
-        # A cached full image is strictly better than any re-decode.
-        if self.pool is not None:
-            if self.pool.lookup(f"decoded/{name}") is not None:
-                resident = self.pool.get(f"decoded/{name}")
-                if resident is not None:
-                    return resident.payload, None
-        else:
-            cached = self._decoded_cache.get(name)
-            if cached is not None:
-                return cached, None
-        tile_active = np.asarray(tile_active, dtype=bool)
+        if col is None:
+            col = self.store[name]
+        want_mask = predicate is not None
+        r0, r1 = span.row_lo, span.row_hi
+        if not col.codec_name:
+            vals = col.values[r0:r1]
+            return (vals, None) if want_mask else vals
+        if scratch is None:
+            scratch = _fresh_buffer
+        if self.fault_hook is not None:
+            self.fault_hook(name)
         codec = get_codec(col.codec_name)
         assert isinstance(codec, TileCodec)
+        enc = col.payload
+        if want_mask and not self.fusion_allowed(enc):
+            predicate = None
         elems = codec.tile_elements(enc)
-        idx = np.flatnonzero(
-            codec_tile_activity(tile_active, elems, codec.num_tiles(enc))
-        )
-        out = np.zeros(enc.count, dtype=np.int64)
-        rowmask = np.zeros(enc.count, dtype=np.bool_)
-        if idx.size:
-            cap = idx.size * elems
-            vals = np.empty(cap, dtype=np.int64)
-            vmask = np.empty(cap, dtype=np.bool_)
+        c0 = r0 // elems
+        c1 = min(-(-r1 // elems), codec.num_tiles(enc))
+        cap = (c1 - c0) * elems
+        buf = scratch(name, cap)
+        mask_buf = None
+        if predicate is not None:
+            mask_buf = scratch(f"mask/{name}", cap, dtype=np.bool_)
+        try:
             with corruption_guard(name):
-                written = codec.decode_filter_tiles_into(
-                    enc, idx, predicate, vals, vmask
+                rows = _decode_chunk(
+                    codec, enc, c0, elems, buf[:cap],
+                    codec_tile_activity(
+                        tile_active, elems, c1 - c0,
+                        lead=(span.tile_lo * TILE - c0 * elems) // TILE,
+                    ),
+                    predicate,
+                    None if mask_buf is None else mask_buf[:cap],
+                    scratch,
                 )
-            lens = np.minimum((idx + 1) * elems, enc.count) - idx * elems
-            pos = np.repeat(idx * elems, lens) + ragged_arange(lens)
-            out[pos] = vals[:written]
-            rowmask[pos] = vmask[:written]
-            self.count_fused_kernel(written)
-        return out, rowmask
+        except CorruptTileError as exc:
+            # Re-raise with the owning span so the client can see
+            # exactly which slice of which morsel died.
+            raise CorruptTileError(
+                exc.column,
+                exc.tile_id,
+                f"{exc.reason} [morsel {span.index}: engine tiles "
+                f"{span.tile_lo}..{span.tile_hi}, rows {r0}..{r1}]",
+            ) from exc
+        if predicate is not None:
+            self.count_fused_kernel(rows)
+        off = r0 - c0 * elems
+        vals = buf[off : off + (r1 - r0)]
+        if want_mask:
+            if mask_buf is None:
+                return vals, None
+            return vals, mask_buf[off : off + (r1 - r0)]
+        return vals
 
     def column_tile_bounds(self, name: str) -> tuple[np.ndarray, np.ndarray]:
         """Conservative per-engine-tile value bounds for a fact column.
@@ -441,8 +460,7 @@ class CrystalEngine:
         Inline GPU-* columns derive them from codec block metadata
         (references + bitwidths) without decoding; uncompressed columns
         get exact min/max zone maps.  Bounds are cached — in the serving
-        pool when one is attached, so they survive eviction of the much
-        larger decoded images.
+        pool when one is attached, as metadata residents evicted last.
         """
         if self.pool is not None:
             key = f"bounds/{name}"
@@ -538,25 +556,9 @@ class CrystalEngine:
             active &= pred.tile_may_match(mins, maxs)
         return active
 
-    def evict_decoded(self) -> None:
-        """Drop every decoded image while keeping derived metadata.
-
-        The serving pool's eviction pattern: decoded images are the big
-        evictable payloads, while zone-map bounds and per-tile traffic
-        metadata are tiny and survive — so the next query re-decodes
-        (only the tiles it needs, under pushdown) but never re-derives
-        metadata.
-        """
-        with self._cache_lock:
-            self._decoded_cache.clear()
-        if self.pool is not None:
-            for name in self.store.columns:
-                self.pool.invalidate(f"decoded/{name}")
-
     def invalidate_column(self, name: str) -> None:
         """Drop every cached derivative of a column (it was re-encoded)."""
         with self._cache_lock:
-            self._decoded_cache.pop(name, None)
             self._tile_bytes_cache.pop(name, None)
             self._bounds_cache.pop(name, None)
         if self.pool is not None:
@@ -779,19 +781,6 @@ class CrystalEngine:
         self.run(query)
         return self._last_timeline
 
-    def uses_streaming(self) -> bool:
-        """Whether :meth:`run` routes through the streaming executor.
-
-        Staged (OmniSci) plans price per-operator kernels and
-        decompress-first systems already materialized to global memory,
-        so neither has tile-fused work to stream.
-        """
-        return (
-            self.streaming
-            and not self._staged
-            and self.store.system not in DECOMPRESS_FIRST_SYSTEMS
-        )
-
     def _stream(self, query: "SSBQuery") -> dict[int, int]:
         """Run one query through the (cached) streaming executor."""
         from repro.engine.streaming import TileStreamExecutor
@@ -870,14 +859,21 @@ class CrystalEngine:
             executor.trim_arenas(0)
 
     def run(self, query: "SSBQuery") -> QueryResult:
-        """Execute one SSB query and report its simulated time."""
+        """Execute one SSB query and report its simulated time.
+
+        Every fused plan — inline GPU-*, uncompressed, and the
+        decompress-first systems after their prologue — runs through the
+        morsel streaming executor; only the staged (OmniSci) plan runs
+        its per-operator kernels over the whole table.
+        """
         kernels_before = self.device.kernel_count
         ms_before = self.device.elapsed_ms
-        self.decompress_first(query.columns)
-        if self.uses_streaming():
-            groups = self._stream(query)
-        else:
-            groups = query.fn(self)
+        with self.request_scope():
+            # Verdicts on pinned images settle before anything is priced.
+            for name in query.columns:
+                self.pinned_decoded(name)
+            self.decompress_first(query.columns)
+            groups = query.fn(self) if self._staged else self._stream(query)
         kernels = self.device.kernel_count - kernels_before
         self._last_timeline = self.device.timeline()[kernels_before:]
         return QueryResult(
@@ -960,6 +956,8 @@ class FactPipeline:
         # morsel pipelines cover one contiguous chunk of it instead.
         self.n = engine.num_rows if rows is None else rows
         num_tiles = engine.num_tiles if tiles is None else tiles
+        #: The span of the tile grid this pipeline's loads decode.
+        self.span = Morsel(0, 0, num_tiles, 0, self.n)
         self.mask = np.ones(self.n, dtype=bool)
         self.tile_active = np.ones(num_tiles, dtype=bool)
         self._finished = False
@@ -1012,7 +1010,8 @@ class FactPipeline:
         self._read_bytes += read
         # One snapshot decides both pricing and the value path; a hot
         # column with a pinned decoded image loads like raw storage.
-        inline = engine.inline_column(col) and engine.pinned_decoded(name) is None
+        pinned = engine.pinned_decoded(name)
+        inline = engine.inline_column(col) and pinned is None
         if inline:
             codec = get_codec(col.codec_name)
             assert isinstance(codec, TileCodec)
@@ -1053,35 +1052,33 @@ class FactPipeline:
         # conjuncts are necessary conditions); pricing of the filter step
         # stays with the matching filter_predicate call, which sees the
         # identical post-AND selection either way.
+        if not inline:
+            source = col.values if pinned is None else pinned
+            return source[self.span.row_lo : self.span.row_hi]
         pred = self._pushdown_preds.get(name)
-        if pred is not None and name not in self._fused_preds and inline:
-            values, rowmask = self._column_slice_filtered(name, pred)
+        if pred is not None and name not in self._fused_preds:
+            values, rowmask = self._decode(name, col, pred)
             if rowmask is not None:
                 self.mask &= rowmask
                 self._fused_preds[name] = pred
-                return values
             return values
-        return self._column_slice(name)
+        return self._decode(name, col)
 
     def _tile_read_bytes(self, name: str) -> np.ndarray:
         """Per-tile read traffic over this pipeline's span (overridable)."""
-        return self.engine.tile_read_bytes(name)
+        return self.engine.tile_read_bytes(name)[self.span.tile_lo : self.span.tile_hi]
 
-    def _column_slice(self, name: str) -> np.ndarray:
-        """The decoded values :meth:`load` returns over this span."""
-        return self.engine.column_values_pruned(name, self.tile_active)
+    def _decode(self, name: str, col: StoredColumn, predicate=None):
+        """Decode an inline column over this span (overridable).
 
-    def _column_slice_filtered(
-        self, name: str, predicate: ColumnPredicate
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        """Fused decode+filter load over this span (overridable).
-
-        Returns ``(values, rowmask)``; a ``None`` rowmask means fusion
-        could not apply (cached image, checksummed column under active
-        verification, ...) and the caller must evaluate the predicate
-        itself on the returned values.
+        A whole-table pipeline decodes into fresh buffers; see
+        :meth:`CrystalEngine.decode_span` for the ``predicate`` contract
+        (a ``None`` rowmask means fusion could not apply and the caller
+        evaluates the predicate itself).
         """
-        return self.engine.column_values_filtered(name, self.tile_active, predicate)
+        return self.engine.decode_span(
+            name, self.span, self.tile_active, predicate=predicate, col=col
+        )
 
     def filter_pushdown(self, predicate: "ColumnPredicate | And | None") -> int:
         """Prune tiles from codec bounds before any column is loaded.

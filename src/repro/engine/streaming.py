@@ -3,12 +3,11 @@
 The paper's central claim (Sections 3 and 7) is that decompression is a
 *device function*: a tile is decoded in shared memory and filtered,
 probed and aggregated inline, so the full column never materializes in
-global memory.  :class:`~repro.engine.crystal.CrystalEngine`'s default
-path models the kernel accounting faithfully but executes host-side the
-opposite way — ``column_values_pruned`` decodes whole columns into
-column-length intermediates before :class:`FactPipeline` filters them.
-
-This module executes the same plans tile-chunk-by-tile-chunk:
+global memory.  :meth:`CrystalEngine.run
+<repro.engine.crystal.CrystalEngine.run>` executes every fused plan —
+inline GPU-*, uncompressed, and the decompress-first systems after
+their prologue — through this module, tile-chunk by tile-chunk; only
+the staged (OmniSci) plan runs whole-table operator kernels.
 
 1. A **plan pass** runs the query function once against a zero-row proxy
    pipeline.  It builds (and prices) the dimension lookups exactly once,
@@ -17,14 +16,17 @@ This module executes the same plans tile-chunk-by-tile-chunk:
 2. The surviving tiles are partitioned into contiguous **morsels** of
    ``morsel_tiles`` engine tiles.  Each morsel re-runs the query
    function against a morsel-scoped pipeline that decodes only its own
-   slice of each needed column — with one codec call per slice, into
-   the executor's :class:`~repro.formats.base.DecodeArena`, so steady
-   state allocates nothing — then filters, probes and accumulates
-   partial aggregates over just those rows.
+   slice of each needed column — with one codec call per slice
+   (:meth:`CrystalEngine.decode_span
+   <repro.engine.crystal.CrystalEngine.decode_span>`, the routine a
+   whole-table :class:`FactPipeline` load uses too), into the
+   executor's :class:`~repro.formats.base.DecodeArena`, so steady state
+   allocates nothing — then filters, probes and accumulates partial
+   aggregates over just those rows.
 3. Partials are merged **in deterministic morsel order** with exact
-   integer arithmetic, so answers are bit-identical to the materialized
-   path; one fused fact kernel is then priced from the merged
-   accounting (same launch count as the materialized plan).
+   integer arithmetic, so answers are bit-identical to one whole-table
+   pass; one fused fact kernel is then priced from the merged
+   accounting (one launch, whatever the morsel count).
 
 Morsels run on the calling (serving) thread, the host analogue of the
 paper's one kernel launched over the grid of tiles.  A morsel's body is
@@ -45,8 +47,8 @@ from repro.engine.crystal import (
     TILE,
     CrystalEngine,
     FactPipeline,
+    Morsel,
     SSBQuery,
-    codec_tile_activity,
 )
 from repro.engine.lookup import Lookup
 from repro.engine.predicates import (
@@ -56,14 +58,7 @@ from repro.engine.predicates import (
     canonical_predicates,
     column_predicates,
 )
-from repro.formats.base import (
-    DecodeArena,
-    TileCodec,
-    corruption_guard,
-    crc32_values,
-)
-from repro.formats.registry import get_codec
-from repro.formats.validate import CorruptTileError
+from repro.formats.base import DecodeArena, crc32_values
 
 __all__ = ["DEFAULT_MORSEL_TILES", "StreamPlan", "TileStreamExecutor"]
 
@@ -72,17 +67,6 @@ __all__ = ["DEFAULT_MORSEL_TILES", "StreamPlan", "TileStreamExecutor"]
 #: morsel boundaries land on codec tile boundaries and no tile is
 #: decoded twice.
 DEFAULT_MORSEL_TILES = 64
-
-
-@dataclass(frozen=True)
-class Morsel:
-    """One contiguous chunk of the fact table's tile grid."""
-
-    index: int
-    tile_lo: int
-    tile_hi: int
-    row_lo: int
-    row_hi: int
 
 
 class _PlanPipeline(FactPipeline):
@@ -118,8 +102,9 @@ class _PlanPipeline(FactPipeline):
         self.engine.tile_read_bytes(name)
         return np.zeros(0, dtype=np.int64)
 
-    def _column_slice(self, name: str) -> np.ndarray:
-        return np.zeros(0, dtype=np.int64)
+    def _decode(self, name, col, predicate=None):
+        empty = np.zeros(0, dtype=np.int64)
+        return empty if predicate is None else (empty, None)
 
     def load(self, name: str) -> np.ndarray:
         self.trace.append(("load", name))
@@ -201,28 +186,17 @@ class _MorselPipeline(FactPipeline):
             tiles=morsel.tile_hi - morsel.tile_lo,
         )
         self._executor = executor
-        self._morsel = morsel
+        self.span = morsel
         self.tile_active &= executor.tile_active[morsel.tile_lo : morsel.tile_hi]
         if not self.tile_active.all():
             self.mask &= np.repeat(self.tile_active, TILE)[: self.n]
         #: Aggregate merge ops in call order ("sum", "min" or "max").
         self.agg_ops: list[str] = []
 
-    def _tile_read_bytes(self, name: str) -> np.ndarray:
-        m = self._morsel
-        return self.engine.tile_read_bytes(name)[m.tile_lo : m.tile_hi]
-
-    def _column_slice(self, name: str) -> np.ndarray:
-        m = self._morsel
-        pinned = self.engine.pinned_decoded(name)
-        if pinned is not None:
-            return pinned[m.row_lo : m.row_hi]
-        # One snapshot decides the branch: a racing atomic tier swap must
-        # never pair an inline verdict with the other image's payload.
-        col = self.engine.store[name]
-        if self.engine.inline_column(col):
-            return self._executor.decode_slice(name, m, self.tile_active, col=col)
-        return col.values[m.row_lo : m.row_hi]
+    def _decode(self, name, col, predicate=None):
+        return self._executor.decode_slice(
+            name, self.span, self.tile_active, predicate=predicate, col=col
+        )
 
     def filter_pushdown(self, predicate) -> int:
         # Bounds were consulted once, globally, in the plan pass; the
@@ -234,12 +208,6 @@ class _MorselPipeline(FactPipeline):
             for pred in column_predicates(predicate):
                 self._pushdown_preds[pred.column] = pred
         return int(np.count_nonzero(~self.tile_active))
-
-    def _column_slice_filtered(self, name, predicate):
-        m = self._morsel
-        return self._executor.decode_slice(
-            name, m, self.tile_active, predicate=predicate
-        )
 
     def finish(self) -> None:
         # Partial pipelines never launch; the executor prices the one
@@ -265,10 +233,10 @@ class _MorselPipeline(FactPipeline):
         if how == "avg":
             # sum/count partials would merge fine, but the division must
             # happen after the merge — the per-morsel quotients carry no
-            # remainders to combine.  Run avg queries materialized.
+            # remainders to combine.
             raise NotImplementedError(
                 "avg does not decompose into mergeable morsel partials; "
-                "run this query with streaming disabled"
+                "aggregate sum and count and divide after the run"
             )
         if how in ("min", "max"):
             self.agg_ops.append(how)
@@ -466,117 +434,15 @@ class TileStreamExecutor:
     ):
         """Decode one column's chunk for a morsel into the executor's arena.
 
-        Covers the codec tiles overlapping ``[row_lo, row_hi)`` with one
-        codec call; codec tiles whose engine tiles were all pruned stay
-        zero-filled (their rows are dead in the morsel's mask by
-        construction).  Returns a view of exactly the morsel's rows.
-
-        With a ``predicate``, the filter is fused into the decode via the
-        codec's ``decode_filter_tiles_into`` and the return value becomes
-        ``(values, rowmask)`` views — or ``(values, None)`` when fusion
-        cannot apply (checksummed column under active verification), in
-        which case the caller evaluates the predicate itself.
-
-        ``col`` pins the caller's :class:`StoredColumn` snapshot so one
-        object serves both the inline check and the decode; without it a
-        fresh snapshot is taken here.  Either way a column that is no
-        longer tile-encoded (a racing tier swap published an uncompressed
-        or cold image) degrades to a plain values slice — bit-identical
-        by the swap's contract, never a torn decode.
+        :meth:`CrystalEngine.decode_span
+        <repro.engine.crystal.CrystalEngine.decode_span>` over the
+        morsel's span, with the arena as scratch; the returned views are
+        valid until the next morsel reuses the arena.
         """
-        if col is None:
-            col = self.engine.store[name]
-        want_mask = predicate is not None
-        if not col.codec_name:
-            vals = col.values[morsel.row_lo : morsel.row_hi]
-            return (vals, None) if want_mask else vals
-        if self.engine.fault_hook is not None:
-            self.engine.fault_hook(name)
-        codec = get_codec(col.codec_name)
-        assert isinstance(codec, TileCodec)
-        enc = col.payload
-        if want_mask and not self.engine.fusion_allowed(enc):
-            predicate = None
-        elems = codec.tile_elements(enc)
-        r0, r1 = morsel.row_lo, morsel.row_hi
-        c0 = r0 // elems
-        c1 = min(-(-r1 // elems), codec.num_tiles(enc))
-        cap = (c1 - c0) * elems
-        buf = self._arena.scratch(name, cap)
-        mask_buf = None
-        if predicate is not None:
-            mask_buf = self._arena.scratch(f"mask/{name}", cap, dtype=np.bool_)
-        try:
-            with corruption_guard(name):
-                self._decode_chunk(
-                    codec, enc, c0, elems, buf[:cap],
-                    codec_tile_activity(
-                        tile_active, elems, c1 - c0,
-                        lead=(morsel.tile_lo * TILE - c0 * elems) // TILE,
-                    ),
-                    predicate,
-                    None if mask_buf is None else mask_buf[:cap],
-                )
-        except CorruptTileError as exc:
-            # Re-raise with the owning morsel span so the client can see
-            # exactly which slice of which morsel died.
-            raise CorruptTileError(
-                exc.column,
-                exc.tile_id,
-                f"{exc.reason} [morsel {morsel.index}: engine tiles "
-                f"{morsel.tile_lo}..{morsel.tile_hi}, rows {r0}..{r1}]",
-            ) from exc
-        off = r0 - c0 * elems
-        vals = buf[off : off + (r1 - r0)]
-        if want_mask:
-            if mask_buf is None:
-                return vals, None
-            return vals, mask_buf[off : off + (r1 - r0)]
-        return vals
-
-    def _decode_chunk(
-        self, codec, enc, c0, elems, view, active, predicate, mview
-    ) -> None:
-        """Decode the active codec tiles of ``[c0, c0 + active.size)`` into
-        ``view`` with one codec call, plain or fused.
-
-        Inactive tiles read as zero (and False in ``mview``).  When the
-        active tiles are all of them or one contiguous run, the call
-        writes straight at the run's offset; otherwise it decodes into
-        arena scratch and the tiles are copied into place.  Only the
-        column's final tile can be partial and it is always last, so every
-        decoded tile sits at a whole multiple of ``elems``.
-        """
-        tiles = np.flatnonzero(active)
-        n = tiles.size
-        targets = (view,) if predicate is None else (view, mview)
-        in_place = n == 0 or tiles[-1] - tiles[0] + 1 == n
-        if in_place:
-            lo = int(tiles[0]) * elems if n else 0
-            for target in targets:
-                target[:lo] = 0
-                target[lo + n * elems :] = 0
-            outs = [target[lo:] for target in targets]
-        else:
-            outs = [
-                self._arena.scratch(f"scatter/{target.dtype}", n * elems, target.dtype)
-                for target in targets
-            ]
-        rows = self._decode_tiles(codec, enc, c0 + tiles, predicate, *outs) if n else 0
-        if not in_place:
-            for target, out in zip(targets, outs):
-                dest = target.reshape(-1, elems)
-                dest[~active] = 0
-                dest[tiles] = out[: n * elems].reshape(n, elems)
-        if predicate is not None:
-            self.engine.count_fused_kernel(rows)
-
-    @staticmethod
-    def _decode_tiles(codec, enc, tiles, predicate, out, mask=None) -> int:
-        """The one codec call of a column slice; returns values written."""
-        if predicate is None:
-            return codec.decode_tiles_into(enc, tiles, out)
-        return codec.decode_filter_tiles_into(enc, tiles, predicate, out, mask)
+        return self.engine.decode_span(
+            name, morsel, tile_active, predicate=predicate, col=col,
+            scratch=self._arena.scratch,
+        )
 
     # -- orchestration ------------------------------------------------------
 
@@ -757,7 +623,7 @@ class TileStreamExecutor:
         the empty-after-pushdown case falls out for free.  Sums combine
         as Python ints (arbitrary precision — no float re-rounding), so
         the result is independent of morsel width and bit-identical to
-        the materialized single-pass answer.
+        one whole-table pass.
         """
         ops = {op for agg_ops, _ in parts for op in agg_ops}
         if not ops:
@@ -787,7 +653,7 @@ class TileStreamExecutor:
 
         Resource footprint (registers, shared memory per block) comes
         from the plan pipeline — it is row-count independent and matches
-        the materialized kernel exactly.  Traffic and compute sum the
+        a whole-table pipeline's kernel exactly.  Traffic and compute sum the
         morsels' contributions; per-call gathers merge by call index
         (every morsel runs the same call sequence, so the lists align).
         """

@@ -64,7 +64,7 @@ def run(
         compiled[name] = compiler.compile(SSB_SPECS[name])
         compile_ms += (time.perf_counter() - t0) * 1e3
 
-    engine = CrystalEngine(db, store, streaming=True)
+    engine = CrystalEngine(db, store)
     rows, mismatches = [], []
     for name in QUERIES:
         hand_ms, hand_groups = _best_of(engine, QUERIES[name], repeats)

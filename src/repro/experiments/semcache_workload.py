@@ -99,7 +99,7 @@ def run(
     workload = build_workload()
 
     def fresh_engine() -> CrystalEngine:
-        return CrystalEngine(db, store, streaming=True, morsel_tiles=morsel_tiles)
+        return CrystalEngine(db, store, morsel_tiles=morsel_tiles)
 
     cold_ms, reference = _timed_pass(fresh_engine(), workload)
 

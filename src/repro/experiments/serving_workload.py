@@ -3,7 +3,8 @@
 
 The scenario the ROADMAP's north star implies: many clients, one GPU,
 a device budget deliberately smaller than the decoded working set, so
-the :class:`~repro.serving.ColumnPool` must evict decoded images while
+the :class:`~repro.serving.ColumnPool` must evict — compressed columns,
+zone-map metadata and the streaming decode arena's scratch — while
 queries stream through.  The driver reports throughput against the
 *simulated* serving clock, latency percentiles, and the pool's hit and
 eviction counters — the numbers ``BENCH_serving.json`` pins as the
@@ -47,7 +48,9 @@ def build_workload(
 
 
 def decoded_working_set_bytes(db: SSBDatabase) -> int:
-    """Bytes of every decoded image the query mix can materialize."""
+    """Bytes of one int64 image of every column the query mix touches
+    (the yardstick the budget is sized against; streaming execution
+    never holds these images)."""
     columns = {c for name in QUERY_MIX for c in QUERIES[name].columns}
     return len(columns) * db.num_lineorder_rows * 8
 
@@ -65,7 +68,7 @@ def run(
 
     ``budget_fraction`` sizes the pool at the compressed store plus that
     fraction of the decoded working set — below 1.0 the pool *must*
-    evict decoded images to complete the workload.
+    evict to complete the workload.
     """
     if db is None:
         db = generate(scale_factor=scale_factor, seed=7)

@@ -143,7 +143,7 @@ def run(
     max_query_bytes = max(
         sum(store[c].nbytes for c in q.columns) for q in workload
     )
-    reference = CrystalEngine(db, store, streaming=True)
+    reference = CrystalEngine(db, store)
     expected = {}
     for query in workload:
         if query.name not in expected:

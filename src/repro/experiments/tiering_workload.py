@@ -175,7 +175,6 @@ def _serve(
         store,
         budget_bytes=budget_bytes,
         metrics=metrics,
-        streaming=True,
         tiering=policy,
     )
     requests = [

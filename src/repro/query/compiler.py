@@ -5,8 +5,8 @@ against a :class:`~repro.query.model.SemanticModel` into a
 :class:`CompiledQuery` — an :class:`~repro.engine.crystal.SSBQuery`
 whose plan function speaks only the streaming executor's engine-proxy
 surface (``db`` / ``pushdown`` / ``build_lookup`` / ``pipeline``), so a
-compiled plan runs unchanged on the materialized engine, the morsel
-streamer, the semantic result cache and the shard router.
+compiled plan runs unchanged on the morsel streamer, the staged
+whole-table engine, the semantic result cache and the shard router.
 
 Lowering decisions, in order:
 

@@ -99,7 +99,7 @@ class FaultInjector:
     def flip_decoded_bit(self, values: np.ndarray) -> dict:
         """Flip one bit of an already-decoded image in place.
 
-        Models silent in-memory corruption of a cached decoded column
+        Models silent in-memory corruption of a pinned decoded column
         (the case ``verify_cached`` re-decode recovery exists for).
         """
         flat = values.view(np.uint8).reshape(-1)

@@ -16,7 +16,7 @@ once:
 Before a group runs, its columns are placed through the
 :class:`~repro.serving.pool.ColumnPool` (charging PCIe transfer on
 misses, evicting under pressure) and pinned for the duration, so device
-capacity holds even while decoded images come and go.
+capacity holds even while metadata and decode scratch come and go.
 
 Time is the simulator's: the server keeps a serving clock advanced by
 each group's simulated transfer + kernel milliseconds.  A request's
@@ -143,9 +143,10 @@ class _Ticket:
 class QueryServer:
     """Admits, batches and executes requests over one shared engine.
 
-    ``stream_workers`` is deprecated: streaming morsels run on the serving
-    thread.  Values below 1 still raise ``ValueError``; any other value
-    is ignored.
+    ``streaming`` and ``stream_workers`` are deprecated: every fused plan
+    streams, and morsels run on the serving thread.  ``streaming`` is
+    ignored; ``stream_workers`` below 1 still raises ``ValueError``, any
+    other value is ignored.
     """
 
     def __init__(
@@ -159,7 +160,7 @@ class QueryServer:
         batch_window: int = 8,
         default_timeout_ms: float | None = None,
         metrics: MetricsRegistry | None = None,
-        streaming: bool = False,
+        streaming: bool = True,
         stream_workers: int = 1,
         morsel_tiles: int | None = None,
         max_retries: int = 2,
@@ -190,11 +191,6 @@ class QueryServer:
         self.router: ShardRouter | None = None
         self.semcache: SemanticResultCache | None = None
         if num_shards > 1:
-            if not streaming:
-                raise ValueError(
-                    "num_shards > 1 requires streaming=True: shards execute "
-                    "tile-span-restricted streaming plans"
-                )
             if device is not None or pool is not None:
                 raise ValueError(
                     "num_shards > 1 builds its own per-shard devices and "
@@ -242,7 +238,6 @@ class QueryServer:
                 store,
                 self.device,
                 pool=pool,
-                streaming=streaming,
                 stream_workers=stream_workers,
                 morsel_tiles=morsel_tiles,
                 kernel_backend=kernel_backend,
@@ -254,11 +249,6 @@ class QueryServer:
             #: Optional semantic result cache reusing per-tile-span partial
             #: aggregates across overlapping queries (see serving.semcache).
             if semantic_cache:
-                if not streaming:
-                    raise ValueError(
-                        "semantic_cache requires streaming=True: partials are "
-                        "cached at morsel granularity"
-                    )
                 self.semcache = SemanticResultCache(
                     semcache_budget_bytes
                     if semcache_budget_bytes is not None
@@ -669,8 +659,8 @@ class QueryServer:
         to ``max_retries`` times with simulated exponential backoff added
         to the group's execution time.  Corruption
         (:class:`CorruptTileError`) triggers one re-decode-from-source
-        per column — the cached decoded image is invalidated and the
-        group re-executes against the compressed bytes; if the same
+        per column — the column's cached derivatives (a pinned decoded
+        image among them) are invalidated and the group re-executes against the compressed bytes; if the same
         column fails again the source itself is bad and the error
         propagates (the caller quarantines it).
         """
@@ -749,12 +739,13 @@ class QueryServer:
             # Sharded path: placement pins each shard's slice, the
             # router's clock (slowest routed shard + interconnect merge)
             # is the group's execution time.
-            with self.router.pinned(query.columns) as place_ms:
+            with self.router.request_scope(), \
+                    self.router.pinned(query.columns) as place_ms:
                 groups, execute_ms = self.router.execute(query)
             execute_ms += place_ms
             return execute_ms, [{"groups": dict(groups)} for _ in tickets]
         before = self.device.elapsed_ms
-        with self._place_pinned(query.columns):
+        with self.engine.request_scope(), self._place_pinned(query.columns):
             result = self.engine.run(query)
         execute_ms = self.device.elapsed_ms - before
         return execute_ms, [{"groups": dict(result.groups)} for _ in tickets]
@@ -765,7 +756,8 @@ class QueryServer:
         col = self.store[name]
         all_indices = np.concatenate([t.request.indices for t in tickets])
         if self.router is not None:
-            with self.router.pinned((name,)) as place_ms:
+            with self.router.request_scope(), \
+                    self.router.pinned((name,)) as place_ms:
                 fetched, execute_ms = self.router.lookup(name, all_indices)
             execute_ms += place_ms
             payloads = []
@@ -776,7 +768,7 @@ class QueryServer:
                 offset += n
             return execute_ms, payloads
         before = self.device.elapsed_ms
-        with self._place_pinned((name,)):
+        with self.engine.request_scope(), self._place_pinned((name,)):
             # Serve from the one ``col`` snapshot fetched above (see
             # CrystalEngine.lookup_values for the tier-swap guarantee).
             fetched = self.engine.lookup_values(col, all_indices)

@@ -213,7 +213,6 @@ class ShardRouter:
                 device=sharded.devices[i],
                 pool=pool,
                 pushdown=pushdown,
-                streaming=True,
                 stream_workers=stream_workers,
                 morsel_tiles=morsel_tiles,
             )
@@ -357,6 +356,16 @@ class ShardRouter:
                 stack.enter_context(shard.pool.pinned(*keys))
             yield place_ms
 
+    @contextlib.contextmanager
+    def request_scope(self) -> Iterator[None]:
+        """One request on every shard: each shard engine verifies a
+        pinned decoded image at most once
+        (:meth:`~repro.engine.crystal.CrystalEngine.request_scope`)."""
+        with contextlib.ExitStack() as stack:
+            for shard in self.shards:
+                stack.enter_context(shard.engine.request_scope())
+            yield
+
     # -- routing -------------------------------------------------------------
 
     def route(self, query: SSBQuery) -> list[ColumnShard]:
@@ -412,13 +421,16 @@ class ShardRouter:
             before = shard.device.elapsed_ms
             try:
                 engine, executor = shard.engine, shard.executor
-                # Cold-tier columns pay their unspill + cascade-decode
-                # prologue per shard, like the single-device engine.
-                engine.decompress_first(query.columns)
-                if engine.semcache is not None:
-                    groups = engine.semcache.execute(engine, executor, query)
-                else:
-                    groups = executor.execute(query)
+                with engine.request_scope():
+                    for name in query.columns:  # pin verdicts before the plan
+                        engine.pinned_decoded(name)
+                    # Cold-tier columns pay their unspill + cascade-decode
+                    # prologue per shard, like the single-device engine.
+                    engine.decompress_first(query.columns)
+                    if engine.semcache is not None:
+                        groups = engine.semcache.execute(engine, executor, query)
+                    else:
+                        groups = executor.execute(query)
                 engine.last_stream_stats = executor.last_stats
             finally:
                 self._inflight[shard.index] -= 1

@@ -44,7 +44,7 @@ from typing import Any, Callable, Iterable, Sequence
 import numpy as np
 
 from repro.core.hybrid import choose_gpu_star
-from repro.core.nvcomp import NvCompColumn, decode_nvcomp, encode_nvcomp
+from repro.core.nvcomp import decode_nvcomp, encode_nvcomp
 from repro.core.planner import decode_cost_estimate
 from repro.formats.container import save_container
 from repro.formats.registry import get_codec

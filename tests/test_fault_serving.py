@@ -116,27 +116,66 @@ def test_quarantine_blocks_lookups_too(ssb_db, store):
     assert "quarantined" in res.error
 
 
+def _pin_decoded_image(server, column: str) -> np.ndarray:
+    """Pin a decoded image of ``column`` the way tiering pins a hot one."""
+    image = np.array(server.store[column].values, copy=True)
+    server.engine.invalidate_column(column)
+    server.pool.admit(
+        f"decoded/{column}", image.size * 4, kind="decoded", payload=image, pin=True
+    )
+    return image
+
+
 def test_verify_cached_redecodes_corrupt_image(ssb_db, store):
     server = QueryServer(ssb_db, store, verify_cached=True)
-    injector = FaultInjector(seed=11)
     clean = server.serve([ServeRequest("query", "q1.1")])[0]
     assert clean.ok
-    # Flip a bit in a pool-resident decoded image.
-    target = next(
-        c for c in QUERIES["q1.1"].columns
-        if server.pool.get(f"decoded/{c}") is not None
-    )
-    injector.flip_decoded_bit(server.pool.get(f"decoded/{target}").payload)
+    column = "lo_extendedprice"
+    image = _pin_decoded_image(server, column)
+    FaultInjector(seed=11).flip_decoded_bit(image)
     again = server.serve([ServeRequest("query", "q1.1")])[0]
     assert again.ok
-    assert server.metrics_snapshot().get("decoded_image_refreshes", 0) >= 1
+    assert server.metrics_snapshot().get("decoded_image_refreshes", 0) == 1
     assert again.groups == clean.groups
+    # The pin is gone: the column now decodes from its compressed payload.
+    assert server.pool.lookup(f"decoded/{column}") is None
+    assert server.engine.pinned_decoded(column) is None
+
+
+def test_verify_cached_checks_pinned_image_once_per_request(
+    ssb_db, store, monkeypatch
+):
+    from repro.engine import crystal
+
+    server = QueryServer(ssb_db, store, verify_cached=True)
+    column = "lo_extendedprice"
+    image = _pin_decoded_image(server, column)
+    checked: list[int] = []
+
+    def counting_crc(values):
+        checked.append(id(values))
+        return crystal_crc(values)
+
+    crystal_crc = crystal.crc32_values
+    monkeypatch.setattr(crystal, "crc32_values", counting_crc)
+    for kind in ("query", "lookup"):
+        checked.clear()
+        request = (
+            ServeRequest("query", "q1.1")
+            if kind == "query"
+            else ServeRequest("lookup", column, indices=np.arange(64))
+        )
+        result = server.serve([request])[0]
+        assert result.ok, kind
+        # Placement, pricing, every morsel: one verdict per request.
+        assert checked == [id(image)], kind
+    assert server.pool.lookup(f"decoded/{column}").pin_count > 0
 
 
 def test_streaming_corruption_surfaces_morsel_span(ssb_db, store):
     injector = FaultInjector(seed=7)
     injector.corrupt(store["lo_discount"].payload, "payload-bit")
-    engine = CrystalEngine(ssb_db, store, streaming=True)
+    engine = CrystalEngine(ssb_db, store)
     with pytest.raises(CorruptTileError, match="morsel") as excinfo:
         engine.run(QUERIES["q1.1"])
     assert excinfo.value.column == "lo_discount"
@@ -148,7 +187,7 @@ def test_streaming_server_records_morsel_failures(ssb_db, store):
     injector.corrupt(store["lo_discount"].payload, "payload-bit")
     # Failures count whatever the deprecated stream_workers keyword says.
     for kwargs in ({}, {"stream_workers": 1}):
-        server = QueryServer(ssb_db, store, streaming=True, **kwargs)
+        server = QueryServer(ssb_db, store, **kwargs)
         result = server.serve([ServeRequest("query", "q1.1")])[0]
         assert result.status == "error", kwargs
         snap = server.metrics_snapshot()

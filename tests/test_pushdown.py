@@ -264,11 +264,6 @@ class TestBoundsCaching:
         engine.column_tile_bounds("lo_key")
         resident = pool.lookup("bounds/lo_key")
         assert resident is not None and resident.kind == "meta"
-        engine.column_values("lo_key")
-        assert pool.lookup("decoded/lo_key") is not None
-        engine.evict_decoded()
-        assert pool.lookup("decoded/lo_key") is None
-        assert pool.lookup("bounds/lo_key") is not None
         engine.invalidate_column("lo_key")
         assert pool.lookup("bounds/lo_key") is None
 

@@ -11,7 +11,6 @@ prove the compiler is not SSB-shaped.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from query_oracle import evaluate
@@ -89,16 +88,20 @@ def codec_store(request, db, compiled):
 class TestCompiledDifferential:
     @pytest.mark.parametrize("flight", FLIGHTS)
     def test_bit_identical_materialized(
-        self, flight, db, star_store, compiled, hand_results
+        self, flight, db, model, compiled, hand_results
     ):
-        got = CrystalEngine(db, star_store).run(compiled[flight]).groups
+        # The staged (OmniSci) engine runs the compiled plan as one
+        # whole-table pass of per-operator kernels.
+        staged = CrystalEngine(db, load_lineorder(db, "omnisci"))
+        got = staged.run(compiled[flight]).groups
         assert got == hand_results[flight]
+        assert got == evaluate(model, db, SSB_SPECS[flight])
 
     def test_bit_identical_per_codec(
         self, codec_store, db, compiled, hand_results
     ):
         codec_name, store = codec_store
-        engine = CrystalEngine(db, store, streaming=True)
+        engine = CrystalEngine(db, store)
         for flight in FLIGHTS:
             got = engine.run(compiled[flight]).groups
             assert got == hand_results[flight], (codec_name, flight)
@@ -113,7 +116,6 @@ class TestCompiledDifferential:
         server = QueryServer(
             db,
             star_store,
-            streaming=True,
             stream_workers=workers,
             num_shards=num_shards,
         )
@@ -132,7 +134,7 @@ class TestCompiledDifferential:
     @pytest.mark.parametrize("flight", FLIGHTS)
     def test_pushdown_parity_or_better(self, flight, db, star_store, compiled):
         """Compiled plans never decode more tiles than the hand plans."""
-        engine = CrystalEngine(db, star_store, streaming=True)
+        engine = CrystalEngine(db, star_store)
         engine.run(compiled[flight])
         compiled_tiles = engine.last_stream_stats["tiles_active"]
         engine.run(QUERIES[flight])
@@ -148,7 +150,7 @@ class TestCompiledOnClusteredData:
         sdb = sort_lineorder_by(db, "lo_orderdate")
         store = load_lineorder(sdb, "gpu-star")
         compiler = QueryCompiler(ssb_model(), sdb, store=store)
-        engine = CrystalEngine(sdb, store, streaming=True)
+        engine = CrystalEngine(sdb, store)
         compiled = compiler.compile(SSB_SPECS["q1.2"])
         groups = engine.run(compiled).groups
         stats = engine.last_stream_stats
@@ -245,13 +247,13 @@ class TestTpcdsModel:
         model = tpcds_model()
         compiler = QueryCompiler(model, sdb, store=store)
         compiled = compiler.compile(TPCDS_SPECS[name])
-        engine = CrystalEngine(sdb, store, streaming=True)
+        engine = CrystalEngine(sdb, store)
         assert engine.run(compiled).groups == evaluate(model, sdb, TPCDS_SPECS[name])
 
     def test_streaming_matches_materialized(self, star):
         sdb, store = star
         compiler = QueryCompiler(tpcds_model(), sdb, store=store)
         compiled = compiler.compile(TPCDS_SPECS["tq3"])
-        ref = CrystalEngine(sdb, store).run(compiled).groups
-        engine = CrystalEngine(sdb, store, streaming=True)
+        ref = CrystalEngine(sdb, load_star(sdb, "omnisci")).run(compiled).groups
+        engine = CrystalEngine(sdb, store)
         assert engine.run(compiled).groups == ref

@@ -3,9 +3,10 @@
 A seeded generator draws random valid specs over the SSB semantic model
 — random measures (including multi-measure and lone min/max), random
 predicate conjunctions over fact and dimension attributes, random
-group-bys — compiles each through :class:`QueryCompiler`, executes it on
-a compressed store (materialized and streaming), and compares against
-the naive uncompressed-numpy oracle in ``query_oracle.py``.
+group-bys — compiles each through :class:`QueryCompiler`, executes it
+either streaming over a compressed store or on the staged whole-table
+engine, and compares against the naive uncompressed-numpy oracle in
+``query_oracle.py``.
 
 CI smoke mode checks >= 200 result cells.  On a mismatch the failing
 spec is shrunk by greedy component removal and the minimal repro —
@@ -135,8 +136,8 @@ class TestQueryFuzz:
         model = ssb_model()
         compiler = QueryCompiler(model, db, store=store)
         engines = {
-            "materialized": CrystalEngine(db, store),
-            "streaming": CrystalEngine(db, store, streaming=True),
+            "staged": CrystalEngine(db, load_lineorder(db, "omnisci")),
+            "streaming": CrystalEngine(db, store),
         }
         return db, model, compiler, engines
 
@@ -158,7 +159,7 @@ class TestQueryFuzz:
         for index in range(SMOKE_SPECS):
             spec = _draw_spec(rng, model, index)
             expected = evaluate(model, db, spec)
-            mode = "streaming" if index % 2 else "materialized"
+            mode = "streaming" if index % 2 else "staged"
             got = run(spec, mode)
             cells += max(1, len(expected))
             if got != expected:

@@ -81,7 +81,7 @@ def _encoded_store(db, codec_name: str) -> ColumnStore:
 
 
 def _cached_engine(db, store, morsel_tiles=None, budget=None):
-    engine = CrystalEngine(db, store, streaming=True, morsel_tiles=morsel_tiles)
+    engine = CrystalEngine(db, store, morsel_tiles=morsel_tiles)
     engine.semcache = (
         SemanticResultCache() if budget is None else SemanticResultCache(budget)
     )
@@ -132,7 +132,7 @@ class TestBitIdentity:
         for i, (label, pred) in enumerate(DRILLDOWN):
             q = make_scan(f"scan-{label}", pred)
             got = warm.run(q).groups
-            cold = CrystalEngine(sorted_db, store, streaming=True).run(q).groups
+            cold = CrystalEngine(sorted_db, store).run(q).groups
             assert got == cold, (codec_name, label, i)
 
     @pytest.mark.parametrize("workers", (1, 4))
@@ -142,7 +142,7 @@ class TestBitIdentity:
         # ``stream_workers`` is deprecated and ignored; answers must not
         # depend on it.
         warm = CrystalEngine(
-            sorted_db, sorted_store, streaming=True, stream_workers=workers,
+            sorted_db, sorted_store, stream_workers=workers,
             morsel_tiles=1,
         )
         warm.semcache = SemanticResultCache()
@@ -150,7 +150,7 @@ class TestBitIdentity:
             q = make_scan(f"scan-{label}", pred)
             got = warm.run(q).groups
             cold = CrystalEngine(
-                sorted_db, sorted_store, streaming=True, stream_workers=workers
+                sorted_db, sorted_store, stream_workers=workers
             ).run(q).groups
             assert got == cold, (workers, label)
 
@@ -158,7 +158,7 @@ class TestBitIdentity:
         warm = _cached_engine(sorted_db, sorted_store)
         for name in ("q1.1", "q1.2", "q1.3", "q1.1"):
             got = warm.run(QUERIES[name]).groups
-            cold = CrystalEngine(sorted_db, sorted_store, streaming=True)
+            cold = CrystalEngine(sorted_db, sorted_store)
             assert got == cold.run(QUERIES[name]).groups, name
         assert warm.semcache.stats()["semcache_hits"] >= 1
 
@@ -191,7 +191,7 @@ class TestDonorReuse:
         engine = _cached_engine(sorted_db, sorted_store, morsel_tiles=1)
         engine.run(make_scan("scan-year", YEAR))
         got = engine.run(make_scan("scan-quarter", QUARTER)).groups
-        cold = CrystalEngine(sorted_db, sorted_store, streaming=True)
+        cold = CrystalEngine(sorted_db, sorted_store)
         assert got == cold.run(make_scan("scan-quarter", QUARTER)).groups
         stats = engine.semcache.stats()
         assert stats["semcache_donated_partials"] >= 1
@@ -205,7 +205,7 @@ class TestDonorReuse:
         engine = _cached_engine(sorted_db, sorted_store, morsel_tiles=1)
         engine.run(make_scan("scan-year", YEAR))
         got = engine.run(make_scan("scan-wide", WIDE_QTY)).groups
-        cold = CrystalEngine(sorted_db, sorted_store, streaming=True)
+        cold = CrystalEngine(sorted_db, sorted_store)
         assert got == cold.run(make_scan("scan-wide", WIDE_QTY)).groups
         assert "semcache_donated_partials" not in engine.semcache.stats()
 
@@ -217,7 +217,7 @@ class TestDonorReuse:
         engine = _cached_engine(ssb_db, store, morsel_tiles=1)
         engine.run(make_scan("scan-year", YEAR))
         got = engine.run(make_scan("scan-quarter", QUARTER)).groups
-        cold = CrystalEngine(ssb_db, store, streaming=True)
+        cold = CrystalEngine(ssb_db, store)
         assert got == cold.run(make_scan("scan-quarter", QUARTER)).groups
         assert "semcache_donated_partials" not in engine.semcache.stats()
 
@@ -266,7 +266,7 @@ class TestInvalidation:
 
         after = engine.run(q).groups
         assert after != before  # the update is visible
-        cold = CrystalEngine(sorted_db, store, streaming=True)
+        cold = CrystalEngine(sorted_db, store)
         assert after == cold.run(q).groups  # and exactly right
         stats = engine.semcache.stats()
         assert stats["semcache_invalidations"] >= 1
@@ -287,7 +287,7 @@ class TestInvalidation:
         consistent epoch, and post-storm answers match the final bytes."""
         store = load_lineorder(sorted_db, "gpu-star")
         server = QueryServer(
-            sorted_db, store, streaming=True, semantic_cache=True,
+            sorted_db, store, semantic_cache=True,
         )
         device = GPUDevice()
         ucol = UpdatableColumn(sorted_db.lineorder["lo_extendedprice"])
@@ -296,7 +296,7 @@ class TestInvalidation:
         row = _matching_row(sorted_db)
 
         def reference() -> dict[int, int]:
-            return CrystalEngine(sorted_db, store, streaming=True).run(q).groups
+            return CrystalEngine(sorted_db, store).run(q).groups
 
         # Epoch 0 reference, then flush between query waves, snapshotting
         # a reference under the engine lock after each flush (the lock
@@ -370,7 +370,7 @@ class TestBudget:
             for label, pred in DRILLDOWN:
                 q = make_scan(f"scan-{label}", pred)
                 got = engine.run(q).groups
-                cold = CrystalEngine(sorted_db, sorted_store, streaming=True)
+                cold = CrystalEngine(sorted_db, sorted_store)
                 assert got == cold.run(q).groups, label
 
 
@@ -380,15 +380,11 @@ class TestBudget:
 
 
 class TestServerIntegration:
-    def test_semantic_cache_requires_streaming(self, sorted_db, sorted_store):
-        with pytest.raises(ValueError, match="streaming"):
-            QueryServer(sorted_db, sorted_store, semantic_cache=True)
-
     def test_equivalent_spellings_coalesce(self, sorted_db, sorted_store):
         # Two ad-hoc requests with the same rows under different
         # spellings land in one drain window and execute once.
         server = QueryServer(
-            sorted_db, sorted_store, streaming=True, semantic_cache=True
+            sorted_db, sorted_store, semantic_cache=True
         )
         a = make_scan("spelling-a", YEAR)
         b = make_scan("spelling-b", And(tuple(reversed(YEAR.predicates))))
@@ -402,7 +398,7 @@ class TestServerIntegration:
 
     def test_warm_queries_hit_through_server(self, sorted_db, sorted_store):
         server = QueryServer(
-            sorted_db, sorted_store, streaming=True, semantic_cache=True
+            sorted_db, sorted_store, semantic_cache=True
         )
         q = make_scan("scan-year", YEAR)
         server.query(q)
@@ -415,6 +411,6 @@ class TestServerIntegration:
         assert snap["semcache_queries"] == 2
 
     def test_server_without_cache_has_no_semcache(self, sorted_db, sorted_store):
-        server = QueryServer(sorted_db, sorted_store, streaming=True)
+        server = QueryServer(sorted_db, sorted_store)
         assert server.semcache is None
         assert server.engine.semcache is None

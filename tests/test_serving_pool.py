@@ -253,7 +253,7 @@ class TestStreamArenaAccounting:
 
         store = load_lineorder(db, "gpu-star")
         pool = ColumnPool(64 * 1024 * 1024)
-        engine = CrystalEngine(db, store, pool=pool, streaming=True)
+        engine = CrystalEngine(db, store, pool=pool)
         engine.run(QUERIES["q1.1"])
         resident = pool.lookup("scratch/stream-arenas")
         assert resident is not None
@@ -279,7 +279,7 @@ class TestServerIdleTrim:
         from repro.serving import QueryServer
 
         store = load_lineorder(db, "gpu-star")
-        server = QueryServer(db, store, streaming=True)
+        server = QueryServer(db, store)
         results = server.serve([__import__("repro.serving.scheduler",
                                            fromlist=["ServeRequest"])
                                 .ServeRequest("query", "q1.1")])
@@ -297,7 +297,7 @@ class TestServerIdleTrim:
         from repro.serving import QueryServer
 
         store = load_lineorder(db, "gpu-star")
-        server = QueryServer(db, store, streaming=True)
+        server = QueryServer(db, store)
         server.start()
         try:
             from repro.serving.scheduler import ServeRequest
@@ -321,7 +321,7 @@ class TestServerIdleTrim:
         from repro.serving.scheduler import ServeRequest
 
         store = load_lineorder(db, "gpu-star")
-        server = QueryServer(db, store, streaming=True,
+        server = QueryServer(db, store,
                              trim_arenas_when_idle=False)
         server.start()
         try:

@@ -5,12 +5,14 @@ import threading
 
 import numpy as np
 import pytest
+from query_oracle import evaluate
 
 from repro.core.updates import UpdatableColumn
 from repro.engine.crystal import CrystalEngine
 from repro.engine.ssb_queries import QUERIES
 from repro.formats.registry import get_codec
 from repro.gpusim import GPUDevice
+from repro.query.ssb import SSB_SPECS, ssb_model
 from repro.serving import (
     ColumnPool,
     QueryServer,
@@ -52,19 +54,22 @@ def codec_store(db):
 
 
 @pytest.fixture(scope="module")
-def expected(db, codec_store):
-    """Uncached single-query reference results (fresh engine per query)."""
-    out = {}
-    for name in QUERY_MIX:
-        engine = CrystalEngine(db, codec_store, GPUDevice())
-        out[name] = engine.run(QUERIES[name]).groups
-    return out
+def expected(db):
+    """Reference answers from the naive numpy oracle."""
+    return {name: evaluate(ssb_model(), db, SSB_SPECS[name]) for name in QUERY_MIX}
 
 
 def tight_budget(db, store):
-    """Room for the compressed store plus ~1.5 decoded images: queries
-    need up to 6 decoded columns live, so eviction is guaranteed."""
-    return store.total_bytes + int(1.5 * db.num_lineorder_rows * 8)
+    """Room for the widest query's streaming working set — its compressed
+    columns plus one int64 decode buffer per column — but not for the
+    decode arena and compressed columns of the whole mix, so eviction is
+    guaranteed."""
+    widest = max(QUERY_MIX, key=lambda q: len(QUERIES[q].columns))
+    columns = QUERIES[widest].columns
+    return (
+        sum(store[c].nbytes for c in columns)
+        + len(columns) * db.num_lineorder_rows * 8
+    )
 
 
 class TestEvictionCorrectness:
@@ -272,8 +277,9 @@ class TestFlushInvalidation:
         assert after == fresh, "engine served stale post-flush bytes"
         assert after != before
         assert sum(after.values()) == 0  # predicate now matches nothing
+        # A whole-table load decodes the post-flush payload.
         np.testing.assert_array_equal(
-            engine.column_values(column), updatable.values
+            engine.pipeline("check").load(column), updatable.values
         )
 
     def test_dict_cached_engine_sees_flush(self, db):

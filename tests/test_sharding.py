@@ -156,7 +156,7 @@ class TestShardedBitIdentity:
         produces the aggregate identity single-device returns."""
         store = load_lineorder(ssb_db, "gpu-star")
         dead = make_scan("dead", And((Range("lo_quantity", 10_000, 20_000),)))
-        ref = CrystalEngine(ssb_db, store, streaming=True).run(dead).groups
+        ref = CrystalEngine(ssb_db, store).run(dead).groups
         router = ShardRouter(ssb_db, store, 4)
         groups, _ = router.execute(dead)
         assert groups == ref
@@ -240,7 +240,7 @@ class TestRouting:
         store = load_lineorder(ssb_db, "gpu-star")
         keys = ssb_db.lineorder["lo_orderkey"]
         router = ShardRouter(ssb_db, store, 4)
-        ref_engine = CrystalEngine(ssb_db, store, streaming=True)
+        ref_engine = CrystalEngine(ssb_db, store)
         for lo_frac, hi_frac in ((0.0, 0.2), (0.4, 0.6), (0.1, 0.9)):
             lo = int(keys[int(lo_frac * (keys.size - 1))])
             hi = int(keys[int(hi_frac * (keys.size - 1))])
@@ -290,10 +290,6 @@ class TestShardedLookup:
 
 
 class TestShardedServer:
-    def test_requires_streaming(self, ssb_db, gpu_star_store):
-        with pytest.raises(ValueError, match="streaming"):
-            QueryServer(ssb_db, gpu_star_store, num_shards=2)
-
     @pytest.mark.parametrize("num_shards", (2, 4))
     def test_server_answers_match_single_device(
         self, ssb_db, gpu_star_store, num_shards
@@ -305,12 +301,12 @@ class TestShardedServer:
                 "lookup", "lo_extendedprice", indices=np.arange(100, 400)
             ),
         ]
-        ref_srv = QueryServer(ssb_db, gpu_star_store, streaming=True)
+        ref_srv = QueryServer(ssb_db, gpu_star_store)
         ref = ref_srv.serve([ServeRequest(r.kind, r.name, indices=r.indices)
                              for r in requests])
         ref_srv.stop()
         server = QueryServer(
-            ssb_db, gpu_star_store, streaming=True, num_shards=num_shards
+            ssb_db, gpu_star_store, num_shards=num_shards
         )
         got = server.serve(requests)
         for a, b in zip(ref, got):
@@ -330,7 +326,6 @@ class TestShardedServer:
         server = QueryServer(
             ssb_db,
             gpu_star_store,
-            streaming=True,
             num_shards=4,
             semantic_cache=True,
             batch_window=1,
@@ -362,7 +357,7 @@ class TestShardedServer:
         fresh["lo_extendedprice"].values = ucol.values.copy()
         fresh["lo_extendedprice"].payload = ucol.encoded
         fresh["lo_extendedprice"].codec_name = ucol.codec_name
-        expect = CrystalEngine(ssb_db, fresh, streaming=True).run(query).groups
+        expect = CrystalEngine(ssb_db, fresh).run(query).groups
         assert expect != before, "update must be visible in the aggregate"
         assert after == expect, "a shard served stale pre-flush bytes"
         router.close()
@@ -375,7 +370,7 @@ class TestShardedServer:
         injector = FaultInjector(seed=7)
         injector.corrupt(store["lo_discount"].payload, "payload-bit")
         server = QueryServer(
-            ssb_db, store, streaming=True, num_shards=4, batch_window=1
+            ssb_db, store, num_shards=4, batch_window=1
         )
         bad = server.serve([ServeRequest("query", "q1.1")])[0]
         assert bad.status == "error"
@@ -391,7 +386,7 @@ class TestShardedServer:
     def test_transient_shard_fault_retried(self, ssb_db):
         store = load_lineorder(ssb_db, "gpu-star")
         server = QueryServer(
-            ssb_db, store, streaming=True, num_shards=2, max_retries=2
+            ssb_db, store, num_shards=2, max_retries=2
         )
         injector = FaultInjector(seed=3)
         hook = injector.transient_faults(columns=["lo_discount"], times=1)
@@ -415,9 +410,9 @@ class TestShardedWorkload:
             make_flight1("w-b", 19940101, 19941231, 4, 6, 26, 35),
             make_flight1("w-c", 19940204, 19940210, 5, 7, 26, 35),
         ]
-        ref_engine = CrystalEngine(ssb_db, gpu_star_store, streaming=True)
+        ref_engine = CrystalEngine(ssb_db, gpu_star_store)
         expected = {q.name: ref_engine.run(q).groups for q in mix}
-        server = QueryServer(ssb_db, gpu_star_store, streaming=True, num_shards=4)
+        server = QueryServer(ssb_db, gpu_star_store, num_shards=4)
         results = server.serve(
             [ServeRequest("query", q.name, query=q) for q in mix * 2]
         )

@@ -8,15 +8,16 @@ Five layers of coverage:
   mistyped buffers;
 * column-slice decode — ``decode_slice`` makes one codec call per slice,
   plain or fused, whatever pattern of tiles pushdown left active;
-* streaming vs materialized — for every GPU-* codec and a cross-flight
-  query matrix, the streaming executor must return bit-identical
-  aggregates and the same kernel count, including unaligned morsel
-  widths and plans whose pushdown prunes every tile;
-* merge semantics — min/max partials merge, avg is refused, lookups are
-  built exactly once in the plan pass;
-* concurrency — the engine's metadata/decode caches and the serving
-  pool survive a multi-threaded access storm, and the ``QueryServer``
-  records streaming metrics.
+* streaming vs the numpy oracle — for every GPU-* codec and a
+  cross-flight query matrix, the streaming executor must return the
+  oracle's aggregates with one fused fact kernel, including unaligned
+  morsel widths and plans whose pushdown prunes every tile;
+* merge semantics — min/max partials merge like the staged engine's
+  whole-table pass, avg is refused, lookups are built exactly once in
+  the plan pass;
+* concurrency — the engine's metadata caches, whole-table pipeline
+  loads and the serving pool survive a multi-threaded access storm, and
+  the ``QueryServer`` records streaming metrics.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import threading
 
 import numpy as np
 import pytest
+from query_oracle import evaluate
 
 from repro.engine.crystal import TILE, CrystalEngine, SSBQuery
 from repro.engine.predicates import And, Range
@@ -32,8 +34,9 @@ from repro.engine.ssb_queries import QUERIES
 from repro.engine.streaming import DEFAULT_MORSEL_TILES, Morsel, TileStreamExecutor
 from repro.formats.base import DecodeArena, TileCodec
 from repro.formats.registry import get_codec
+from repro.query.ssb import SSB_SPECS, ssb_model
 from repro.serving.pool import ColumnPool
-from repro.ssb.loader import ColumnStore, StoredColumn
+from repro.ssb.loader import ColumnStore, StoredColumn, load_lineorder
 
 GPU_CODECS = ("gpu-for", "gpu-dfor", "gpu-rfor", "gpu-bp", "gpu-simdbp128")
 MATRIX_QUERIES = ("q1.1", "q1.3", "q2.1", "q3.1", "q4.1")
@@ -181,7 +184,7 @@ def _count_top_level_decodes(monkeypatch, codec) -> list[str]:
 def test_decode_slice_fragmented_activity(ssb_db, monkeypatch, codec_name, fused):
     column = "lo_quantity"
     store = _encoded_store(ssb_db, codec_name, (column,))
-    engine = CrystalEngine(ssb_db, store, streaming=True)
+    engine = CrystalEngine(ssb_db, store)
     executor = TileStreamExecutor(engine)
     tile_hi = engine.num_tiles
     tile_lo = tile_hi - SLICE_TILES
@@ -216,8 +219,28 @@ def test_decode_slice_fragmented_activity(ssb_db, monkeypatch, codec_name, fused
 
 
 # ---------------------------------------------------------------------------
-# Streaming vs materialized bit-identity
+# Streaming vs the numpy oracle
 # ---------------------------------------------------------------------------
+
+
+def _oracle(db, qname: str) -> dict[int, int]:
+    """The naive numpy answer of the SSB flight ``qname``."""
+    return evaluate(ssb_model(), db, SSB_SPECS[qname])
+
+
+def _assert_one_fact_kernel(engine, kernels_before: int, result) -> None:
+    """The plan launched its dimension builds plus exactly one fused
+    fact kernel, however many morsels ran."""
+    names = [launch.spec.name for launch in engine.device.launches[kernels_before:]]
+    assert len(names) == result.kernel_count
+    assert sum(n.startswith("fact-") for n in names) == 1, names
+    assert all(n.startswith(("build-", "fact-")) for n in names), names
+
+
+@pytest.fixture(scope="module")
+def omnisci_store(ssb_db):
+    """The staged OmniSci engine's store: whole-table operator kernels."""
+    return load_lineorder(ssb_db, "omnisci")
 
 
 def _columns_for(queries) -> tuple[str, ...]:
@@ -258,33 +281,29 @@ class TestStreamingBitIdentity:
         # unaligned 3-tile width that splits codec tiles across morsels.
         codec_name, store = codec_store
         query = QUERIES[qname]
-        ref = CrystalEngine(ssb_db, store).run(query)
+        expected = _oracle(ssb_db, qname)
         for morsel_tiles in (None, 3):
-            engine = CrystalEngine(
-                ssb_db, store, streaming=True, morsel_tiles=morsel_tiles
-            )
+            engine = CrystalEngine(ssb_db, store, morsel_tiles=morsel_tiles)
             got = engine.run(query)
             label = (codec_name, qname, morsel_tiles)
-            assert got.groups == ref.groups, label
-            assert got.kernel_count == ref.kernel_count, label
+            assert got.groups == expected, label
+            _assert_one_fact_kernel(engine, 0, got)
             stats = engine.last_stream_stats
             assert stats["morsels"] == len(stats["morsel_ms"])
             assert stats["peak_decoded_bytes"] > 0
 
     def test_uncompressed_store_streams_too(self, ssb_db, none_store):
-        query = QUERIES["q2.1"]
-        ref = CrystalEngine(ssb_db, none_store).run(query)
-        engine = CrystalEngine(ssb_db, none_store, streaming=True)
-        got = engine.run(query)
-        assert got.groups == ref.groups
-        assert got.kernel_count == ref.kernel_count
+        engine = CrystalEngine(ssb_db, none_store)
+        got = engine.run(QUERIES["q2.1"])
+        assert got.groups == _oracle(ssb_db, "q2.1")
+        _assert_one_fact_kernel(engine, 0, got)
         # Nothing decodes, so the arenas stay empty.
         assert engine.last_stream_stats["peak_decoded_bytes"] == 0
 
     def test_repeat_runs_reuse_executor_and_stay_identical(
         self, ssb_db, gpu_star_store
     ):
-        engine = CrystalEngine(ssb_db, gpu_star_store, streaming=True)
+        engine = CrystalEngine(ssb_db, gpu_star_store)
         query = QUERIES["q1.1"]
         first = engine.run(query).groups
         executor = engine._stream_executor
@@ -309,12 +328,11 @@ class TestStreamingBitIdentity:
             return result
 
         query = SSBQuery("empty", ("lo_orderdate", "lo_extendedprice"), fn)
-        ref = CrystalEngine(ssb_db, gpu_star_store).run(query)
-        assert ref.groups == {0: 0}
-        engine = CrystalEngine(ssb_db, gpu_star_store, streaming=True)
+        engine = CrystalEngine(ssb_db, gpu_star_store)
         got = engine.run(query)
         assert got.groups == {0: 0}
-        assert got.kernel_count == ref.kernel_count
+        assert got.kernel_count == 1  # the fused fact kernel still launches
+        _assert_one_fact_kernel(engine, 0, got)
         assert engine.last_stream_stats["morsels"] == 0
 
 
@@ -343,13 +361,14 @@ def _minmax_query(how: str) -> SSBQuery:
 
 class TestMergeSemantics:
     @pytest.mark.parametrize("how", ("min", "max"))
-    def test_min_max_partials_merge(self, ssb_db, gpu_star_store, how):
+    def test_min_max_partials_merge(self, ssb_db, gpu_star_store, omnisci_store, how):
         query = _minmax_query(how)
-        ref = CrystalEngine(ssb_db, gpu_star_store).run(query)
-        engine = CrystalEngine(ssb_db, gpu_star_store, streaming=True)
+        ref = CrystalEngine(ssb_db, omnisci_store).run(query)
+        engine = CrystalEngine(ssb_db, gpu_star_store, morsel_tiles=3)
         assert engine.run(query).groups == ref.groups
+        assert engine.last_stream_stats["morsels"] > 1
 
-    def test_avg_is_refused(self, ssb_db, gpu_star_store):
+    def test_avg_is_refused(self, ssb_db, gpu_star_store, omnisci_store):
         def fn(engine):
             p = engine.pipeline("avg")
             quantity = p.load("lo_quantity")
@@ -360,14 +379,14 @@ class TestMergeSemantics:
             return result
 
         query = SSBQuery("avg", ("lo_quantity",), fn)
-        engine = CrystalEngine(ssb_db, gpu_star_store, streaming=True)
-        with pytest.raises(NotImplementedError):
+        engine = CrystalEngine(ssb_db, gpu_star_store)
+        with pytest.raises(NotImplementedError, match="sum and count"):
             engine.run(query)
-        # The materialized path still supports it.
-        assert CrystalEngine(ssb_db, gpu_star_store).run(query).groups
+        # The staged engine's whole-table pass still supports it.
+        assert CrystalEngine(ssb_db, omnisci_store).run(query).groups
 
     def test_lookups_build_once(self, ssb_db, gpu_star_store):
-        engine = CrystalEngine(ssb_db, gpu_star_store, streaming=True)
+        engine = CrystalEngine(ssb_db, gpu_star_store)
         before = engine.device.kernel_count
         engine.run(QUERIES["q3.1"])
         names = [
@@ -378,15 +397,6 @@ class TestMergeSemantics:
         # customer, supplier, date: one build kernel each despite the
         # query function re-running once per morsel.
         assert len(names) == 3
-
-    def test_streaming_gating(self, ssb_db, gpu_star_store):
-        engine = CrystalEngine(ssb_db, gpu_star_store, streaming=True)
-        assert engine.uses_streaming()
-        for system in ("omnisci", "nvcomp", "planner", "gpu-bp"):
-            gated = CrystalEngine(
-                ssb_db, ColumnStore(system=system, columns={}), streaming=True
-            )
-            assert not gated.uses_streaming()
 
     def test_invalid_config_rejected(self, ssb_db, gpu_star_store):
         with pytest.raises(ValueError):
@@ -427,18 +437,20 @@ class TestConcurrentAccess:
     def test_engine_metadata_caches(self, ssb_db, gpu_star_store):
         engine = CrystalEngine(ssb_db, gpu_star_store)
         columns = ("lo_orderdate", "lo_quantity", "lo_discount", "lo_extendedprice")
-        expected = {c: engine.column_values(c).copy() for c in columns}
-        engine.evict_decoded()
+        expected = {c: np.asarray(ssb_db.lineorder[c]) for c in columns}
 
         def worker(i):
             for rep in range(10):
+                # Whole-table pipelines decode into fresh buffers, so
+                # concurrent loads never share scratch.
+                p = engine.pipeline(f"storm-{i}")
                 for c in columns:
                     engine.tile_read_bytes(c)
                     mins, maxs = engine.column_tile_bounds(c)
                     assert mins.size == engine.num_tiles == maxs.size
-                    assert np.array_equal(engine.column_values(c), expected[c])
+                    assert np.array_equal(p.load(c), expected[c])
                 if i == 0 and rep % 3 == 0:
-                    engine.evict_decoded()
+                    engine.invalidate_column(columns[rep % len(columns)])
 
         assert _storm(worker) == []
 
@@ -463,12 +475,11 @@ class TestConcurrentAccess:
     def test_query_server_streaming_metrics(self, ssb_db, gpu_star_store):
         from repro.serving.scheduler import QueryServer, ServeRequest
 
-        ref = CrystalEngine(ssb_db, gpu_star_store).run(QUERIES["q1.1"])
-        server = QueryServer(ssb_db, gpu_star_store, streaming=True)
-        assert server.engine.uses_streaming()
+        # ``streaming`` is a deprecated keyword: accepted, and ignored.
+        server = QueryServer(ssb_db, gpu_star_store, streaming=False)
         results = server.serve([ServeRequest("query", "q1.1")])
         assert results[0].ok
-        assert results[0].groups == ref.groups
+        assert results[0].groups == _oracle(ssb_db, "q1.1")
         snap = server.metrics_snapshot()
         assert snap["streaming_queries"] == 1
         assert snap["streaming_morsels"] >= 1

@@ -284,7 +284,6 @@ class TestSwapUnderLiveTraffic:
             db,
             store,
             budget_bytes=256_000_000,
-            streaming=True,
             num_shards=num_shards,
             tiering=TieringPolicy(
                 spill_dir=str(tmp_path), maintenance_interval_ms=0.0
@@ -341,7 +340,6 @@ class TestSwapUnderLiveTraffic:
             db,
             store,
             budget_bytes=256_000_000,
-            streaming=True,
             tiering=TieringPolicy(
                 hot_count=1, hot_min_accesses=3.0, cold_max_accesses=0.0,
                 half_life_ms=1e6, maintenance_interval_ms=0.0,
